@@ -183,44 +183,6 @@ dproc::bench::JsonBenchEntry measure_steady_state(std::uint64_t iters) {
   return entry;
 }
 
-dproc::bench::JsonBenchEntry measure_pooled(std::uint64_t iters) {
-  // The pooled path: no caller-owned Vm, but the per-channel VmPool keeps
-  // the leased Vm's arenas warm — steady-state latency at fresh-VM call
-  // convenience.
-  using Clock = std::chrono::steady_clock;
-  auto filter = Filter::compile(kFigure3Filter, paper_env()).value();
-  const auto input = paper_input();
-
-  dproc::ecode::VmPool pool;
-  dproc::ecode::FilterResult result;
-  for (int i = 0; i < 1000; ++i) {  // warm the pool's single lease slot
-    (void)filter.run(pool, input, result);
-  }
-
-  const std::uint64_t allocs_before = dproc::bench::alloc_count();
-  const Clock::time_point start = Clock::now();
-  std::uint64_t insns = 0;
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    (void)filter.run(pool, input, result);
-    insns += result.instructions_executed;
-  }
-  const double ns =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              Clock::now() - start)
-                              .count());
-  const std::uint64_t allocs = dproc::bench::alloc_count() - allocs_before;
-  benchmark::DoNotOptimize(insns);
-
-  dproc::bench::JsonBenchEntry entry;
-  entry.name = "filter_eval_pooled";
-  entry.iterations = iters;
-  entry.ns_per_event = ns / static_cast<double>(iters);
-  entry.ops_per_sec = 1e9 / entry.ns_per_event;
-  entry.allocs_per_event =
-      static_cast<double>(allocs) / static_cast<double>(iters);
-  return entry;
-}
-
 dproc::bench::JsonBenchEntry measure_per_call(std::uint64_t iters) {
   // The compatibility path (fresh result per call), for comparison.
   using Clock = std::chrono::steady_clock;
@@ -249,61 +211,16 @@ dproc::bench::JsonBenchEntry measure_per_call(std::uint64_t iters) {
   return entry;
 }
 
-dproc::bench::JsonBenchEntry measure_fresh_pooled(std::uint64_t iters) {
-  // The fresh-call shape d-mon uses per channel: every evaluation acquires
-  // a lease from the per-channel pool (no caller-owned Vm or result) and
-  // releases it. Once the single slot has warmed up this must sit within
-  // 1.5x of the persistent-Vm steady state with zero heap traffic — the
-  // exit-code bar in main().
-  using Clock = std::chrono::steady_clock;
-  auto filter = Filter::compile(kFigure3Filter, paper_env()).value();
-  const auto input = paper_input();
-
-  dproc::ecode::VmPool pool;
-  for (int i = 0; i < 1000; ++i) {  // warm the pool's single lease slot
-    auto lease = filter.eval(pool, input);
-    benchmark::DoNotOptimize(lease);
-  }
-
-  const std::uint64_t allocs_before = dproc::bench::alloc_count();
-  const Clock::time_point start = Clock::now();
-  std::uint64_t insns = 0;
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    auto lease = filter.eval(pool, input);
-    insns += lease.value().result().instructions_executed;
-  }
-  const double ns =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              Clock::now() - start)
-                              .count());
-  const std::uint64_t allocs = dproc::bench::alloc_count() - allocs_before;
-  benchmark::DoNotOptimize(insns);
-
-  dproc::bench::JsonBenchEntry entry;
-  entry.name = "filter_eval_fresh_pooled";
-  entry.iterations = iters;
-  entry.ns_per_event = ns / static_cast<double>(iters);
-  entry.ops_per_sec = 1e9 / entry.ns_per_event;
-  entry.allocs_per_event =
-      static_cast<double>(allocs) / static_cast<double>(iters);
-  return entry;
-}
-
-dproc::bench::JsonBenchEntry measure_dispatch(dproc::ecode::VmDispatch tier,
-                                              const char* name,
-                                              std::uint64_t iters) {
+dproc::bench::JsonBenchEntry measure_corpus(std::uint64_t iters) {
   // Interpreter throughput over a heterogeneous filter corpus, evaluated
   // round-robin the way a d-mon hosting many channels (each with its own
-  // filter) interleaves them. The varied opcode mix is what separates the
-  // tiers: the switch loop funnels every handler transition through one
-  // shared indirect branch whose history the interleaving scrambles, while
-  // the threaded tier's per-handler branches keep per-opcode-pair history.
-  // One corpus pass executes ~12k VM instructions; scale the outer count
-  // down accordingly.
+  // filter) interleaves them, so consecutive evaluations differ in opcode
+  // mix and branch history. One corpus pass executes ~12k VM instructions;
+  // scale the outer count down accordingly.
   using Clock = std::chrono::steady_clock;
   // Control-flow-dense filters (counters, rate accumulators, hysteresis
-  // state machines): the handler work is cheap, so dispatch — the thing
-  // the tier changes — is what gets measured.
+  // state machines): the handler work is cheap, so dispatch is what gets
+  // measured.
   static const char* const kCorpus[] = {
       // counted integer loop (the classic dispatch stressor)
       "int s = 0; for (int i = 0; i < 1000; ++i) s += i; return s;",
@@ -352,7 +269,6 @@ dproc::bench::JsonBenchEntry measure_dispatch(dproc::ecode::VmDispatch tier,
   const std::uint64_t outer = std::max<std::uint64_t>(iters / 200, 8);
 
   dproc::ecode::Vm vm;
-  vm.set_dispatch(tier);
   dproc::ecode::FilterResult result;
   for (const Filter& filter : corpus) {
     (void)vm.run(filter.bytecode(), input, result);
@@ -372,7 +288,7 @@ dproc::bench::JsonBenchEntry measure_dispatch(dproc::ecode::VmDispatch tier,
                               .count());
 
   dproc::bench::JsonBenchEntry entry;
-  entry.name = name;
+  entry.name = "filter_eval_corpus";
   entry.iterations = outer;
   entry.ns_per_event = ns / static_cast<double>(outer);
   entry.ops_per_sec = 1e9 / entry.ns_per_event;
@@ -381,7 +297,8 @@ dproc::bench::JsonBenchEntry measure_dispatch(dproc::ecode::VmDispatch tier,
   return entry;
 }
 
-/// Best-of-N to keep the exit-code ratio bars stable at smoke scale.
+/// Best-of-N: the fastest of N runs is the least disturbed by other load
+/// on the host.
 template <typename Fn>
 dproc::bench::JsonBenchEntry best_of(int n, Fn measure) {
   dproc::bench::JsonBenchEntry best = measure();
@@ -402,45 +319,8 @@ int main(int argc, char** argv) {
 
   const std::uint64_t iters = dproc::bench::bench_iterations(2'000'000);
   auto steady = best_of(3, [&] { return measure_steady_state(iters); });
-  auto pooled = best_of(3, [&] { return measure_pooled(iters); });
-  auto fresh = best_of(3, [&] { return measure_fresh_pooled(iters); });
-  auto tier_switch = best_of(3, [&] {
-    return measure_dispatch(dproc::ecode::VmDispatch::kSwitch,
-                            "filter_eval_switch", iters);
-  });
-  auto tier_threaded = best_of(3, [&] {
-    return measure_dispatch(dproc::ecode::VmDispatch::kThreaded,
-                            "filter_eval_threaded", iters);
-  });
-  const double speedup = tier_switch.ns_per_event / tier_threaded.ns_per_event;
-  tier_threaded.extras.emplace_back("speedup_vs_switch", speedup);
-  tier_threaded.extras.emplace_back(
-      "threaded_available",
-      dproc::ecode::Vm::threaded_available() ? 1.0 : 0.0);
-  const double fresh_ratio = fresh.ns_per_event / steady.ns_per_event;
-  fresh.extras.emplace_back("ratio_vs_steady", fresh_ratio);
-
+  auto corpus = best_of(3, [&] { return measure_corpus(iters); });
   const bool ok = dproc::bench::write_bench_json(
-      "micro_ecode", {steady, pooled, fresh, measure_per_call(iters),
-                      tier_switch, tier_threaded});
-  if (!ok) return 1;
-
-  // Exit-code bars: the pooled fresh-call path must stay within 1.5x of
-  // steady state and allocation-free once warm. (The threaded-vs-switch
-  // speedup is recorded in the JSON but not exit-enforced — it varies with
-  // host branch predictors more than with regressions in this repo.)
-  if (fresh_ratio > 1.5) {
-    std::fprintf(stderr,
-                 "PERF BAR FAILED: fresh_pooled %.1f ns vs steady %.1f ns "
-                 "(ratio %.2f > 1.5)\n",
-                 fresh.ns_per_event, steady.ns_per_event, fresh_ratio);
-    return 1;
-  }
-  if (fresh.allocs_per_event != 0.0) {
-    std::fprintf(stderr,
-                 "PERF BAR FAILED: fresh_pooled allocates (%.4f/event)\n",
-                 fresh.allocs_per_event);
-    return 1;
-  }
-  return 0;
+      "micro_ecode", {steady, measure_per_call(iters), corpus});
+  return ok ? 0 : 1;
 }

@@ -70,11 +70,6 @@ enum class Op : std::uint8_t {
                       //   [load_local; push_int; load_input; store_output; pop]
 };
 
-/// Number of opcodes; the threaded interpreter's dispatch table is indexed
-/// by Op and must stay exactly this long (vm_dispatch.inc static_asserts).
-inline constexpr std::size_t kOpCount =
-    static_cast<std::size_t>(Op::kCopyInputToOutput) + 1;
-
 /// Comparison encoding for the kCmp* superinstructions: arg2 & 7 selects
 /// the predicate (offset from kLt), kCmpImmFloatBit selects imm_f over
 /// imm_i as the right-hand operand.

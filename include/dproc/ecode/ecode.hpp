@@ -11,6 +11,11 @@
 //   auto filter = ecode::Filter::compile(source, env);
 //   if (!filter) { /* report filter.status() back through the control file */ }
 //   auto out = filter.value().run(samples);
+//
+// A filter runs on one interpreter, the Vm in vm.hpp. Its ints are 64-bit
+// and wrap on overflow (INT64_MIN / -1 == INT64_MIN, INT64_MIN % -1 == 0);
+// a double stored into an int truncates and saturates, with NaN giving 0.
+// Constant folding follows the same rules, so it never changes a result.
 #pragma once
 
 #include <string>
@@ -40,35 +45,13 @@ class Filter {
                                 const CompileEnv& env = {},
                                 CompileOptions options = {});
 
-  /// Runs the filter; `input[i]` is the sample for monitoring source i.
+  /// Runs the filter on a fresh Vm; `input[i]` is the sample for
+  /// monitoring source i. Callers that evaluate every period keep one Vm
+  /// and a reused FilterResult instead (Vm::run), which allocates nothing
+  /// once warm.
   [[nodiscard]] Result<FilterResult> run(std::span<const Sample> input,
                                          VmLimits limits = {}) const {
     return Vm{limits}.run(bytecode_, input);
-  }
-
-  /// Pooled evaluation: runs on a Vm leased from `pool` into the caller's
-  /// reusable `result`. With a persistent pool and result this is the
-  /// steady-state path for callers without their own long-lived Vm — zero
-  /// heap allocations once the leased arenas and `result` have warmed up.
-  Status run(VmPool& pool, std::span<const Sample> input,
-             FilterResult& result) const {
-    VmPool::Lease lease = pool.acquire();
-    return lease.vm().run(bytecode_, input, result);
-  }
-
-  /// Fresh-call convenience at steady-state cost: leases a warm slot from
-  /// `pool`, runs into the slot's pooled result arena, and hands back the
-  /// lease so the caller reads outputs without owning a FilterResult. Once
-  /// the slot has warmed up this performs zero heap allocations — the path
-  /// callers should use where they previously paid the cold `run(input)`.
-  [[nodiscard]] Result<VmPool::Lease> eval(VmPool& pool,
-                                           std::span<const Sample> input) const {
-    VmPool::Lease lease = pool.acquire();
-    if (Status status = lease.vm().run(bytecode_, input, lease.result());
-        !status) {
-      return status;
-    }
-    return lease;
   }
 
   [[nodiscard]] const Bytecode& bytecode() const { return bytecode_; }

@@ -6,7 +6,8 @@
 // collapses (including resolved environment constants like `LOADAVG * 2`),
 // short-circuit and ternary operators with constant conditions drop dead
 // branches. Division by a constant zero is left in place so the runtime
-// error (and its diagnostic) still happens.
+// error (and its diagnostic) still happens. Integer results wrap exactly as
+// the VM's do: both evaluate through the same helpers.
 #pragma once
 
 #include "dproc/ecode/ast.hpp"

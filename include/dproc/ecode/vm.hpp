@@ -7,6 +7,12 @@
 // numeric context, fuel exhaustion) surface as Status and cause d-mon to
 // fall back to unfiltered publication.
 //
+// Integer arithmetic is 64-bit two's complement and wraps: + - * and
+// negation wrap on overflow, INT64_MIN / -1 == INT64_MIN and
+// INT64_MIN % -1 == 0. A double converted to int truncates toward zero and
+// saturates at the int range, with NaN converting to 0. The constant folder
+// uses the same rules, so folding never changes a result.
+//
 // The VM is built for steady-state speed: the operand stack, the locals
 // frame and the output slots are reusable per-Vm scratch arenas, so a d-mon
 // evaluating the same filter once per polling period performs zero heap
@@ -19,19 +25,10 @@
 // instructions_executed identical to unoptimized execution) but the limit
 // is only *checked* at control-flow edges — straight-line code cannot loop,
 // so checking at jumps and returns bounds execution all the same.
-//
-// Dispatch tiers: the interpreter body lives once in vm_dispatch.inc and is
-// compiled twice — as the portable switch loop (the reference interpreter)
-// and, when the build has DPROC_VM_THREADED and a compiler with GNU
-// labels-as-values, as a computed-goto threaded loop whose per-handler
-// indirect branches predict far better than the switch's single one. Both
-// tiers execute identical semantics (the differential fuzz harness pins
-// outputs, status and fuel); set_dispatch() selects at run time.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -93,11 +90,6 @@ class SketchHost {
   virtual double merge_aux(std::int64_t index) = 0;
 };
 
-/// Run-time interpreter selection. kAuto picks the threaded tier when the
-/// build carries it and falls back to the switch loop otherwise; kSwitch
-/// forces the reference interpreter (differential testing, debugging).
-enum class VmDispatch : std::uint8_t { kAuto, kSwitch, kThreaded };
-
 class Vm {
  public:
   explicit Vm(VmLimits limits = {}) : limits_(limits) {
@@ -113,15 +105,6 @@ class Vm {
   /// After one warm-up run of the same program this allocates nothing.
   Status run(const Bytecode& code, std::span<const Sample> input,
              FilterResult& result);
-
-  /// True when this build carries the computed-goto interpreter.
-  [[nodiscard]] static bool threaded_available();
-
-  /// Selects the dispatch tier for subsequent run() calls. Requesting
-  /// kThreaded in a build without it silently runs the switch loop — the
-  /// two tiers are semantically identical by contract.
-  void set_dispatch(VmDispatch dispatch) { dispatch_ = dispatch; }
-  [[nodiscard]] VmDispatch dispatch() const { return dispatch_; }
 
   /// Binds the sketch state the kCallSketch builtins read; nullptr (the
   /// default) makes any sketch builtin a runtime error. Not owned.
@@ -149,17 +132,10 @@ class Vm {
     };
   };
 
-  /// The interpreter body (vm_dispatch.inc), compiled per dispatch tier.
-  Status run_switch(const Bytecode& code, std::span<const Sample> input,
-                    FilterResult& result);
-  Status run_threaded(const Bytecode& code, std::span<const Sample> input,
-                      FilterResult& result);
-
   /// Grows the dense output arrays to cover `idx` (cold path).
   void ensure_output_slot(std::size_t idx);
 
   VmLimits limits_;
-  VmDispatch dispatch_ = VmDispatch::kAuto;
   SketchHost* sketch_ = nullptr;
 
   // Scratch arenas, reused across runs.
@@ -168,75 +144,6 @@ class Vm {
   std::vector<Sample> out_samples_;       // dense, indexed by output slot
   std::vector<std::uint8_t> out_written_; // parallel written flags
   std::vector<std::int32_t> out_touched_; // slots written this run, any order
-};
-
-/// A freelist of warm Vm instances — one pool per channel. The
-/// compatibility path (`Filter::run(input)`) constructs a cold Vm per
-/// evaluation, paying fresh scratch-arena growth on every call (~4x the
-/// steady-state latency, ~14 allocations per run); a Vm leased from the
-/// pool keeps the arenas its earlier runs sized, so pooled evaluation
-/// allocates nothing once every lease slot has warmed up. Each pool slot
-/// also carries a warm FilterResult, so the fresh-call convenience path
-/// (Filter::eval) runs at steady-state cost without a caller-owned result.
-/// Leases are RAII: the slot returns to the freelist when the handle dies,
-/// and concurrent leases (nested filter evaluation) simply grow the pool.
-class VmPool {
- public:
-  explicit VmPool(VmLimits limits = {}) : limits_(limits) {}
-  VmPool(const VmPool&) = delete;
-  VmPool& operator=(const VmPool&) = delete;
-
-  /// One warm Vm + FilterResult pair owned by the pool.
-  struct Slot {
-    std::unique_ptr<Vm> vm;
-    std::unique_ptr<FilterResult> result;
-  };
-
-  class Lease {
-   public:
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), slot_(std::move(other.slot_)) {
-      other.pool_ = nullptr;
-    }
-    Lease& operator=(Lease&&) = delete;
-    ~Lease() {
-      if (pool_ != nullptr) pool_->release(std::move(slot_));
-    }
-    [[nodiscard]] Vm& vm() { return *slot_.vm; }
-    /// The slot's pooled result arena (Filter::eval runs into this).
-    [[nodiscard]] FilterResult& result() { return *slot_.result; }
-    [[nodiscard]] const FilterResult& result() const { return *slot_.result; }
-
-   private:
-    friend class VmPool;
-    Lease(VmPool* pool, Slot slot) : pool_(pool), slot_(std::move(slot)) {}
-    VmPool* pool_;
-    Slot slot_;
-  };
-
-  /// Leases a warm slot (or creates one on first use / under nesting).
-  [[nodiscard]] Lease acquire() {
-    if (free_.empty()) {
-      ++created_;
-      return Lease{this, Slot{std::make_unique<Vm>(limits_),
-                              std::make_unique<FilterResult>()}};
-    }
-    Slot slot = std::move(free_.back());
-    free_.pop_back();
-    return Lease{this, std::move(slot)};
-  }
-
-  /// Vms ever constructed by this pool (1 in the steady state of one
-  /// channel evaluating one filter per period).
-  [[nodiscard]] std::size_t created() const { return created_; }
-  [[nodiscard]] std::size_t idle() const { return free_.size(); }
-
- private:
-  void release(Slot slot) { free_.push_back(std::move(slot)); }
-
-  VmLimits limits_;
-  std::vector<Slot> free_;
-  std::size_t created_ = 0;
 };
 
 }  // namespace dproc::ecode

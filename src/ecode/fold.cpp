@@ -3,6 +3,8 @@
 #include <cmath>
 #include <optional>
 
+#include "arith.hpp"
+
 namespace dproc::ecode {
 
 namespace {
@@ -76,23 +78,21 @@ std::optional<Constant> eval_binary(BinaryOp op, Constant a, Constant b) {
   }
   const std::int64_t x = a.i, y = b.i;
   switch (op) {
-    case BinaryOp::kAdd: return Constant{false, x + y, 0.0};
-    case BinaryOp::kSub: return Constant{false, x - y, 0.0};
-    case BinaryOp::kMul: return Constant{false, x * y, 0.0};
+    case BinaryOp::kAdd: return Constant{false, arith::add(x, y), 0.0};
+    case BinaryOp::kSub: return Constant{false, arith::sub(x, y), 0.0};
+    case BinaryOp::kMul: return Constant{false, arith::mul(x, y), 0.0};
     case BinaryOp::kDiv:
       if (y == 0) return std::nullopt;
-      return Constant{false, x / y, 0.0};
+      return Constant{false, arith::div(x, y), 0.0};
     case BinaryOp::kMod:
       if (y == 0) return std::nullopt;
-      return Constant{false, x % y, 0.0};
+      return Constant{false, arith::mod(x, y), 0.0};
     case BinaryOp::kBitAnd: return Constant{false, x & y, 0.0};
     case BinaryOp::kBitOr: return Constant{false, x | y, 0.0};
     case BinaryOp::kBitXor: return Constant{false, x ^ y, 0.0};
     case BinaryOp::kShl:
       if (y < 0 || y > 63) return std::nullopt;
-      return Constant{
-          false,
-          static_cast<std::int64_t>(static_cast<std::uint64_t>(x) << y), 0.0};
+      return Constant{false, arith::shl(x, y), 0.0};
     case BinaryOp::kShr:
       if (y < 0 || y > 63) return std::nullopt;
       return Constant{false, x >> y, 0.0};
@@ -146,7 +146,7 @@ bool fold_expr(ExprPtr& expr) {
           if (result.is_double) {
             result.d = -result.d;
           } else {
-            result.i = -result.i;
+            result.i = arith::neg(result.i);
           }
           break;
         case UnaryOp::kNot:

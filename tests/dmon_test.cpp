@@ -233,5 +233,32 @@ TEST_F(DmonTest, FilterDeployChargesCompileCost) {
   EXPECT_GT((cluster->host(1).cpu().kernel_cpu_time() - before).ns(), 0);
 }
 
+TEST_F(DmonTest, OverflowingFilterArithmeticKeepsClusterRunning) {
+  // INT64_MIN / -1 traps in hardware division. The first filter reaches it
+  // at run time on maui's next poll; the literal form reaches it in the
+  // constant folder while the write itself is validated. E-code wraps
+  // both, so maui keeps publishing through the filter.
+  settle(2.0);
+  const std::string& key = cluster->dmon(1)->metric_table()[0].key;
+  for (const char* filter :
+       {"filter { int a = 1; a = a << 63; int b = 0; b = b - 1; "
+        "output[0] = input[0]; return a / b; }",
+        "filter { output[0] = input[0]; return (1 << 63) / -1; }",
+        "filter { int a = 1; a = a << 63; int b = 0; b = b - 1; "
+        "output[0] = input[0]; return a % b; }",
+        "filter { output[0] = input[0]; return (1 << 63) % -1; }"}) {
+    ASSERT_TRUE(
+        cluster->procfs(0).write("/proc/cluster/maui/control", filter).is_ok())
+        << filter;
+    settle(2.0);
+    ASSERT_TRUE(cluster->dmon(1)->tuning().has_filter()) << filter;
+    // Instructions are only counted for a run that completed without error.
+    EXPECT_GT(cluster->dmon(1)->last_poll().filter_instructions, 0u) << filter;
+    const RemoteMetric* metric = cluster->dmon(0)->remote_metric(1, key);
+    ASSERT_NE(metric, nullptr) << filter;
+    EXPECT_LE((engine.now() - metric->received_at).sec(), 1.1) << filter;
+  }
+}
+
 }  // namespace
 }  // namespace dproc::core

@@ -287,7 +287,7 @@ TEST(ProgramProperty, FoldingPreservesSemanticsOnRandomPrograms) {
     source << "int a = " << rng.uniform_int(-20, 20) << ";\n"
            << "double b = " << rng.uniform_int(0, 9) << ".25;\n";
     for (int stmt = 0; stmt < 10; ++stmt) {
-      switch (rng.uniform_int(0, 4)) {
+      switch (rng.uniform_int(0, 5)) {
         case 0:
           source << "a = a + " << rng.uniform_int(1, 9) << " * "
                  << rng.uniform_int(1, 9) << ";\n";
@@ -305,6 +305,17 @@ TEST(ProgramProperty, FoldingPreservesSemanticsOnRandomPrograms) {
           source << "b = b + max(" << rng.uniform_int(0, 5) << ", abs(0 - "
                  << rng.uniform_int(0, 5) << "));\n";
           break;
+        case 5: {
+          // Integer edges the folder and the VM must wrap (and convert)
+          // identically.
+          static const char* const kEdges[] = {
+              "(1 << 63) / -1",          "(1 << 63) % -1",
+              "-(1 << 63)",              "9223372036854775807 + 1",
+              "(1 << 63) - 1",           "3037000500 * 3037000500",
+              "1e300 * (0 - 1)",         "1e308 * 10 - 1e308 * 10"};
+          source << "a = a + " << kEdges[rng.uniform_int(0, 7)] << ";\n";
+          break;
+        }
       }
     }
     source << "return a * 1000 + b;";

@@ -1,6 +1,9 @@
 // Execution semantics of compiled E-code filters.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "dproc/ecode/ecode.hpp"
 
 namespace dproc::ecode {
@@ -396,7 +399,61 @@ TEST(Vm, SampleOperandAsJumpConditionIsInvalidArgument) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-// --- dispatch tiers and limits ----------------------------------------------
+// --- integer wrap and saturating conversion -------------------------------
+
+constexpr std::int64_t kIntMin = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kIntMax = std::numeric_limits<std::int64_t>::max();
+
+// Runs `body`, which leaves its result in `int r`, and reads r back through
+// an output's id field: return values are doubles and cannot hold every
+// 64-bit int exactly.
+std::int64_t int_result(const std::string& body) {
+  const FilterResult result = run(body + " output[0].id = r;");
+  EXPECT_EQ(result.outputs.size(), 1u) << body;
+  return result.outputs.empty() ? 0 : result.outputs[0].second.id;
+}
+
+TEST(Vm, IntArithmeticWrapsOnOverflow) {
+  // Operands live in locals so the run-time handlers compute, not the
+  // folder: kAdd, kAddImmI (`a + 1`) and kLocalAddImm (`r = r + 1`).
+  EXPECT_EQ(
+      int_result("int a = 9223372036854775807; int b = 1; int r = a + b;"),
+      kIntMin);
+  EXPECT_EQ(int_result("int a = 9223372036854775807; int r = a + 1;"), kIntMin);
+  EXPECT_EQ(int_result("int r = 9223372036854775807; r = r + 1;"), kIntMin);
+  EXPECT_EQ(int_result("int a = 1 << 63; int b = 1; int r = a - b;"), kIntMax);
+  EXPECT_EQ(int_result("int a = 3037000500; int r = a * a;"),
+            static_cast<std::int64_t>(std::uint64_t{3037000500} *
+                                      std::uint64_t{3037000500}));
+  EXPECT_EQ(int_result("int a = 1 << 63; int r = -a;"), kIntMin);
+}
+
+TEST(Vm, MinIntDividedByMinusOneWraps) {
+  // The one overflowing quotient: hardware division traps on it.
+  EXPECT_EQ(int_result("int a = 1 << 63; int b = 0 - 1; int r = a / b;"),
+            kIntMin);
+  EXPECT_EQ(int_result("int a = 1 << 63; int b = 0 - 1; int r = a % b;"), 0);
+  // The folder evaluates the literal forms with the same rules.
+  EXPECT_EQ(int_result("int r = (1 << 63) / -1;"), kIntMin);
+  EXPECT_EQ(int_result("int r = (1 << 63) % -1;"), 0);
+  EXPECT_EQ(int_result("int r = -(1 << 63);"), kIntMin);
+  EXPECT_EQ(int_result("int r = 9223372036854775807 + 1;"), kIntMin);
+}
+
+TEST(Vm, DoubleToIntConversionSaturates) {
+  EXPECT_EQ(int_result("int r = 1e300;"), kIntMax);
+  EXPECT_EQ(int_result("int r = -1e300;"), kIntMin);
+  EXPECT_EQ(int_result("double z = 1e308 * 10; int r = z - z;"), 0);  // NaN
+  EXPECT_EQ(int_result("int r = 0; r += 1e19;"), kIntMax);
+  // Sample id fields convert the same way.
+  const FilterResult stored = run("output[0].id = 1e300;");
+  ASSERT_EQ(stored.outputs.size(), 1u);
+  EXPECT_EQ(stored.outputs[0].second.id, kIntMax);
+  // A double compared against an int stays a double comparison.
+  EXPECT_DOUBLE_EQ(ret("double d = 1e300; return d > 1;"), 1.0);
+}
+
+// --- limits ---------------------------------------------------------------
 
 TEST(Vm, ConstructorClampsInstructionLimitToHardCeiling) {
   // The fuel counter is only checked at control-flow edges; a limit near
@@ -405,46 +462,6 @@ TEST(Vm, ConstructorClampsInstructionLimitToHardCeiling) {
   EXPECT_EQ(vm.limits().max_instructions, VmLimits::kMaxInstructionLimit);
   Vm sane{VmLimits{.max_instructions = 500}};
   EXPECT_EQ(sane.limits().max_instructions, 500u);
-}
-
-TEST(Vm, DispatchTiersGiveIdenticalResults) {
-  auto filter = Filter::compile(
-      "int s = 0; for (int i = 0; i < 100; ++i) s += i * i; return s;");
-  ASSERT_TRUE(filter.is_ok());
-  Vm vm_switch;
-  vm_switch.set_dispatch(VmDispatch::kSwitch);
-  FilterResult via_switch;
-  ASSERT_TRUE(vm_switch.run(filter.value().bytecode(), {}, via_switch));
-  if (Vm::threaded_available()) {
-    Vm vm_threaded;
-    vm_threaded.set_dispatch(VmDispatch::kThreaded);
-    EXPECT_EQ(vm_threaded.dispatch(), VmDispatch::kThreaded);
-    FilterResult via_threaded;
-    ASSERT_TRUE(vm_threaded.run(filter.value().bytecode(), {}, via_threaded));
-    EXPECT_EQ(via_switch.return_value, via_threaded.return_value);
-    EXPECT_EQ(via_switch.instructions_executed,
-              via_threaded.instructions_executed);
-  }
-}
-
-TEST(Vm, PooledEvalMatchesDirectRun) {
-  auto filter = Filter::compile("output[0] = input[0]; return 9;");
-  ASSERT_TRUE(filter.is_ok());
-  VmPool pool;
-  std::vector<Sample> input{{3, 2.5, 1.0, 77}};
-  {
-    auto lease = filter.value().eval(pool, input);
-    ASSERT_TRUE(lease.is_ok()) << lease.status().to_string();
-    EXPECT_DOUBLE_EQ(lease.value().result().return_value.value_or(0), 9.0);
-    ASSERT_EQ(lease.value().result().outputs.size(), 1u);
-    EXPECT_EQ(lease.value().result().outputs[0].second, input[0]);
-    EXPECT_EQ(pool.created(), 1u);
-  }
-  {
-    auto again = filter.value().eval(pool, input);
-    ASSERT_TRUE(again.is_ok());
-  }
-  EXPECT_EQ(pool.created(), 1u);  // the slot was recycled, not regrown
 }
 
 TEST(Vm, DisassemblyNonEmpty) {

@@ -799,40 +799,50 @@ TEST(FuzzFlight, ParseBundlesRandomBytesNeverCrash) {
   }
 }
 
-// --- differential VM dispatch fuzz ------------------------------------------
+// --- peephole differential fuzz ---------------------------------------------
 //
-// The threaded and switch interpreters are one handler body compiled twice
-// (vm_dispatch.inc); any divergence is a bug in the dispatch plumbing. Every
-// generated program runs through both tiers and must agree byte-for-byte on
-// status (code and message), outputs, return value, and fuel — including the
-// error paths (division by zero, fuel exhaustion).
+// The peephole pass fuses instruction sequences into superinstructions and
+// promises the same semantics at the same fuel. Every generated program is
+// compiled with the pass on and off, under both fold settings (folding
+// changes the sequences the pass sees), and the two programs must agree on
+// status code, outputs, return value and fuel, error paths included
+// (division by zero, fuel exhaustion). Error messages are not compared:
+// they name the failing pc, which fusion moves. Folding on is not compared
+// against folding off: it removes instructions and so lowers fuel.
 
-void expect_tiers_agree(const ecode::Bytecode& code,
-                        std::span<const ecode::Sample> input,
-                        ecode::VmLimits limits, ecode::SketchHost* host_switch,
-                        ecode::SketchHost* host_threaded,
-                        const std::string& source) {
-  ecode::Vm vm_switch{limits};
-  ecode::Vm vm_threaded{limits};
-  vm_switch.set_dispatch(ecode::VmDispatch::kSwitch);
-  vm_threaded.set_dispatch(ecode::VmDispatch::kThreaded);
-  vm_switch.set_sketch_host(host_switch);
-  vm_threaded.set_sketch_host(host_threaded);
+// Runs `source` compiled with and without the peephole pass and checks the
+// two runs agree. Returns whether the runs succeeded.
+bool expect_peephole_neutral(const std::string& source,
+                             const ecode::CompileEnv& env, bool fold,
+                             std::span<const ecode::Sample> input,
+                             ecode::VmLimits limits,
+                             ecode::SketchHost* host_fused,
+                             ecode::SketchHost* host_plain) {
+  auto fused = ecode::Filter::compile(
+      source, env, {.fold_constants = fold, .peephole = true});
+  auto plain = ecode::Filter::compile(
+      source, env, {.fold_constants = fold, .peephole = false});
+  EXPECT_TRUE(fused.is_ok()) << fused.status().to_string() << "\n" << source;
+  EXPECT_TRUE(plain.is_ok()) << plain.status().to_string() << "\n" << source;
+  if (!fused.is_ok() || !plain.is_ok()) return false;
+
+  ecode::Vm vm_fused{limits};
+  ecode::Vm vm_plain{limits};
+  vm_fused.set_sketch_host(host_fused);
+  vm_plain.set_sketch_host(host_plain);
   ecode::FilterResult a;
   ecode::FilterResult b;
-  const Status sa = vm_switch.run(code, input, a);
-  const Status sb = vm_threaded.run(code, input, b);
-  ASSERT_EQ(sa.code(), sb.code()) << source << "\nswitch: " << sa.to_string()
-                                  << "\nthreaded: " << sb.to_string();
-  EXPECT_EQ(sa.message(), sb.message()) << source;
+  const Status sa = vm_fused.run(fused.value().bytecode(), input, a);
+  const Status sb = vm_plain.run(plain.value().bytecode(), input, b);
+  EXPECT_EQ(sa.code(), sb.code()) << source << "\nfold: " << fold
+                                  << "\nfused: " << sa.to_string()
+                                  << "\nplain: " << sb.to_string();
   if (sa && sb) {
     EXPECT_EQ(a.outputs, b.outputs) << source;
-    ASSERT_EQ(a.return_value.has_value(), b.return_value.has_value()) << source;
-    if (a.return_value) {
-      EXPECT_DOUBLE_EQ(*a.return_value, *b.return_value) << source;
-    }
+    EXPECT_EQ(a.return_value, b.return_value) << source;
     EXPECT_EQ(a.instructions_executed, b.instructions_executed) << source;
   }
+  return sa.is_ok();
 }
 
 std::string random_vm_program(Rng& rng, std::size_t input_count) {
@@ -842,7 +852,7 @@ std::string random_vm_program(Rng& rng, std::size_t input_count) {
          << "int out = 0;\n";
   const int stmts = static_cast<int>(rng.uniform_int(1, 12));
   for (int stmt = 0; stmt < stmts; ++stmt) {
-    switch (rng.uniform_int(0, 9)) {
+    switch (rng.uniform_int(0, 10)) {
       case 0:
         source << "a = a + " << rng.uniform_int(-9, 9) << " * "
                << rng.uniform_int(1, 9) << ";\n";
@@ -886,16 +896,20 @@ std::string random_vm_program(Rng& rng, std::size_t input_count) {
         source << "a = (b != 0.0) ? a ^ " << rng.uniform_int(0, 127)
                << " : ~a;\n";
         break;
+      case 10: {
+        // Overflow edges: wrapping multiply, INT64_MIN / -1, INT64_MIN % -1.
+        static const char* const kOverflow[] = {
+            "a = a * 3037000500;\n", "a = a / -1;\n", "a = a % -1;\n"};
+        source << kOverflow[rng.uniform_int(0, 2)];
+        break;
+      }
     }
   }
   if (rng.bernoulli(0.8)) source << "return a + b;\n";
   return source.str();
 }
 
-TEST(FuzzVmDispatch, ThreadedAndSwitchTiersAgreeOnRandomPrograms) {
-  if (!ecode::Vm::threaded_available()) {
-    GTEST_SKIP() << "build has no threaded dispatch tier";
-  }
+TEST(FuzzPeephole, FusionPreservesSemanticsOnRandomPrograms) {
   Rng rng{0xD1FF};
   std::vector<ecode::Sample> input;
   for (int i = 0; i < 4; ++i) {
@@ -905,47 +919,41 @@ TEST(FuzzVmDispatch, ThreadedAndSwitchTiersAgreeOnRandomPrograms) {
   int error_paths = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const std::string source = random_vm_program(rng, input.size());
-    auto filter = ecode::Filter::compile(source);
-    ASSERT_TRUE(filter.is_ok()) << filter.status().to_string() << "\n"
-                                << source;
-    // Tight limits on some trials force the fuel-exhaustion path through
-    // both tiers; count errors to prove both paths actually run.
+    // Tight limits on some trials force the fuel-exhaustion path; count
+    // errors to prove the error paths actually run.
     ecode::VmLimits limits;
     if (trial % 5 == 0) limits.max_instructions = 40;
-    ecode::Vm probe{limits};
-    probe.set_dispatch(ecode::VmDispatch::kSwitch);
-    ecode::FilterResult scratch;
-    if (!probe.run(filter.value().bytecode(), input, scratch)) ++error_paths;
-    expect_tiers_agree(filter.value().bytecode(), input, limits, nullptr,
-                       nullptr, source);
+    for (const bool fold : {true, false}) {
+      if (!expect_peephole_neutral(source, {}, fold, input, limits, nullptr,
+                                   nullptr)) {
+        ++error_paths;
+      }
+    }
   }
   EXPECT_GT(error_paths, 0);  // the harness exercises the error paths too
 }
 
-TEST(FuzzVmDispatch, TiersAgreeOnSketchBuiltins) {
-  if (!ecode::Vm::threaded_available()) {
-    GTEST_SKIP() << "build has no threaded dispatch tier";
-  }
-  // Two structurally identical sketch stacks, one per tier, so skmerge's
-  // mutation cannot leak between the runs under comparison.
-  auto build_stack = [](core::TopKSketch& primary, core::TopKSketch& aux) {
-    Rng feed{0x5EED};
-    for (int i = 0; i < 4'000; ++i) {
-      primary.update(feed.uniform_int(0, 300), 1.0);
-      aux.update(feed.uniform_int(0, 300), 2.0);
+TEST(FuzzPeephole, FusionPreservesSketchBuiltins) {
+  // skmerge mutates the primary sketch, so each compared run gets its own
+  // freshly built, structurally identical sketch stack.
+  struct SketchStack {
+    SketchStack() : host{primary} {
+      Rng feed{0x5EED};
+      for (int i = 0; i < 4'000; ++i) {
+        primary.update(feed.uniform_int(0, 300), 1.0);
+        aux.update(feed.uniform_int(0, 300), 2.0);
+      }
+      primary.refresh_top(8);
+      host.add_aux(aux);
     }
-    primary.refresh_top(8);
+    core::TopKSketch primary;
+    core::TopKSketch aux;
+    core::FilterSketchBridge host;
   };
   Rng rng{0x5ED1};
+  ecode::CompileEnv env;
+  env.sketch_builtins = true;
   for (int trial = 0; trial < 100; ++trial) {
-    core::TopKSketch primary_a, aux_a, primary_b, aux_b;
-    build_stack(primary_a, aux_a);
-    build_stack(primary_b, aux_b);
-    core::FilterSketchBridge host_a{primary_a};
-    host_a.add_aux(aux_a);
-    core::FilterSketchBridge host_b{primary_b};
-    host_b.add_aux(aux_b);
-
     std::ostringstream source;
     source << "double acc = 0.0;\n";
     const int stmts = static_cast<int>(rng.uniform_int(1, 6));
@@ -967,13 +975,12 @@ TEST(FuzzVmDispatch, TiersAgreeOnSketchBuiltins) {
       }
     }
     source << "return acc;\n";
-    ecode::CompileEnv env;
-    env.sketch_builtins = true;
-    auto filter = ecode::Filter::compile(source.str(), env);
-    ASSERT_TRUE(filter.is_ok()) << filter.status().to_string() << "\n"
-                                << source.str();
-    expect_tiers_agree(filter.value().bytecode(), {}, ecode::VmLimits{},
-                       &host_a, &host_b, source.str());
+    for (const bool fold : {true, false}) {
+      SketchStack fused;
+      SketchStack plain;
+      expect_peephole_neutral(source.str(), env, fold, {}, ecode::VmLimits{},
+                              &fused.host, &plain.host);
+    }
   }
 }
 

@@ -24,7 +24,6 @@ using dproc::ecode::Filter;
 using dproc::ecode::FilterResult;
 using dproc::ecode::Sample;
 using dproc::ecode::Vm;
-using dproc::ecode::VmPool;
 
 const char* kFigure3Filter = R"({
   int i = 0;
@@ -78,32 +77,6 @@ TEST(PerfRegressionTest, WarmVmRunAllocatesNothing) {
   EXPECT_EQ(result.outputs.size(), 4u);
 }
 
-TEST(PerfRegressionTest, PooledRunAllocatesNothingOnceWarm) {
-  // The pooled path (Filter::run(pool, ...)) must match the persistent-Vm
-  // guarantee: after the lease slot and the reused result have warmed up,
-  // evaluation never touches the heap — and the pool never grows past one
-  // Vm under sequential (per-channel) use.
-  const Filter filter = compile_figure3();
-  const std::vector<Sample> input = figure3_input();
-
-  VmPool pool;
-  FilterResult result;
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(filter.run(pool, input, result).is_ok());
-  }
-  ASSERT_EQ(pool.created(), 1u);
-
-  const std::uint64_t before = dproc::bench::alloc_count();
-  for (int i = 0; i < 10'000; ++i) {
-    ASSERT_TRUE(filter.run(pool, input, result).is_ok());
-  }
-  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
-      << "steady-state pooled evaluation must not touch the heap";
-  EXPECT_EQ(pool.created(), 1u);
-  EXPECT_EQ(pool.idle(), 1u);
-  EXPECT_EQ(result.outputs.size(), 4u);
-}
-
 TEST(PerfRegressionTest, TouchedListGrowsWithOutputArenaNotMidRun) {
   // ensure_output_slot() grows every output arena together: out_samples_,
   // out_written_ AND the touched-list (the historical gap — out_touched_
@@ -137,31 +110,6 @@ TEST(PerfRegressionTest, TouchedListGrowsWithOutputArenaNotMidRun) {
   EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
       << "touching 64 pre-grown slots must not reallocate the touched list";
   EXPECT_EQ(result.outputs.size(), 64u);
-}
-
-TEST(PerfRegressionTest, LeasedEvalAllocatesNothingOnceWarm) {
-  // The lease-returning pooled path (Filter::eval) is the fresh-VM-per-call
-  // shape d-mon uses per channel; once the single pool slot has warmed up it
-  // must match the persistent-Vm zero-alloc guarantee.
-  const Filter filter = compile_figure3();
-  const std::vector<Sample> input = figure3_input();
-
-  VmPool pool;
-  for (int i = 0; i < 16; ++i) {
-    auto lease = filter.eval(pool, input);
-    ASSERT_TRUE(lease.is_ok()) << lease.status().to_string();
-  }
-  ASSERT_EQ(pool.created(), 1u);
-
-  const std::uint64_t before = dproc::bench::alloc_count();
-  for (int i = 0; i < 10'000; ++i) {
-    auto lease = filter.eval(pool, input);
-    ASSERT_TRUE(lease.is_ok());
-  }
-  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
-      << "steady-state leased evaluation must not touch the heap";
-  EXPECT_EQ(pool.created(), 1u);
-  EXPECT_EQ(pool.idle(), 1u);
 }
 
 TEST(PerfRegressionTest, VmIsReentrant) {
