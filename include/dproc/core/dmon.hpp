@@ -377,21 +377,24 @@ class DMon {
     return local_drills_;
   }
 
-  // --- error / savings accounting (plain counters; the telemetry twins
-  // --- only move when the registry is enabled) ---------------------------
+  // --- error / savings accounting (read from the host registry) ---------
 
   /// Module collections dropped for returning the wrong sample count.
-  [[nodiscard]] std::uint64_t collect_errors() const { return collect_errors_; }
+  [[nodiscard]] std::uint64_t collect_errors() const {
+    return tm_collect_errors_.value();
+  }
   /// Publish-ready samples whose id fit no registered module range.
-  [[nodiscard]] std::uint64_t stray_samples() const { return stray_samples_; }
+  [[nodiscard]] std::uint64_t stray_samples() const {
+    return tm_stray_samples_.value();
+  }
   /// Wire bytes avoided by interest-filtered fan-out versus sending every
   /// member the full batch frame.
   [[nodiscard]] std::uint64_t interest_bytes_saved() const {
-    return interest_bytes_saved_;
+    return tm_bytes_saved_.value();
   }
   /// Batch entries skipped by delta suppression since start.
   [[nodiscard]] std::uint64_t delta_suppressed_total() const {
-    return delta_suppressed_total_;
+    return tm_batch_delta_suppressed_.value();
   }
 
  private:
@@ -487,7 +490,8 @@ class DMon {
   void broadcast_interest();
   /// Counts samples outside every registered range; warns on first sight.
   void note_strays(std::size_t count);
-  /// Allocates the next publish-side trace context (publish hop stamped).
+  /// Allocates the next publish-side trace context (publish hop stamped),
+  /// or returns an invalid one (an untraced submit) when tracing is off.
   [[nodiscard]] net::TraceContext begin_trace(kecho::ChannelId channel);
   /// Stamps the render hop for a delivered traced event and runs the
   /// staleness-SLO watchdog against `slo_channel`'s budget.
@@ -604,19 +608,15 @@ class DMon {
   telemetry::Counter* tm_hier_drill_req_ = nullptr;
   telemetry::Counter* tm_hier_drill_data_ = nullptr;
 
-  std::uint64_t collect_errors_ = 0;
-  std::uint64_t stray_samples_ = 0;
-  std::uint64_t interest_bytes_saved_ = 0;
-  std::uint64_t delta_suppressed_total_ = 0;
-
   std::vector<SampleObserver> sample_observers_;
   PollRecord last_poll_;
   StreamingStats submit_cost_us_;
   StreamingStats receive_cost_us_;
   std::string last_control_error_;
 
-  /// Self-monitoring instruments, resolved once from the host registry at
-  /// construction; inert (a branch each) until telemetry is enabled.
+  /// Instruments resolved once from the host registry at construction.
+  /// Counters and gauges always count; latency recorders sample only while
+  /// telemetry is enabled.
   telemetry::Counter& tm_polls_;
   telemetry::Counter& tm_events_submitted_;
   telemetry::Counter& tm_events_received_;

@@ -24,6 +24,7 @@
 
 #include "dproc/core/incident.hpp"
 #include "dproc/telemetry/flight.hpp"
+#include "dproc/util/ring_buffer.hpp"
 #include "dproc/util/time.hpp"
 
 namespace dproc::host {
@@ -81,42 +82,9 @@ struct HealthConfig {
   std::vector<WatchdogRule> watchdogs;
 };
 
-/// Fixed-depth ring of doubles: the last K windowed deltas of one series.
-/// Pre-allocated by configure(); push() never allocates.
-class MetricHistory {
- public:
-  void configure(std::size_t depth) {
-    ring_.assign(depth > 0 ? depth : 1, 0.0);
-    head_ = 0;
-    size_ = 0;
-  }
-  void push(double v) {
-    if (ring_.empty()) return;
-    if (size_ < ring_.size()) {
-      ring_[(head_ + size_) % ring_.size()] = v;
-      ++size_;
-    } else {
-      ring_[head_] = v;
-      head_ = (head_ + 1) % ring_.size();
-    }
-  }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t depth() const { return ring_.size(); }
-  /// Entry i counted from the oldest retained (0 == oldest).
-  [[nodiscard]] double at(std::size_t i) const {
-    return ring_[(head_ + i) % ring_.size()];
-  }
-  /// Sum over the newest min(window, size) entries.
-  [[nodiscard]] double window_sum(std::size_t window) const;
-  /// Fraction of the newest min(window, size) entries that are nonzero;
-  /// 0 when empty.
-  [[nodiscard]] double window_active(std::size_t window) const;
-
- private:
-  std::vector<double> ring_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-};
+/// The last K windowed deltas of one series, allocated when the engine is
+/// built; push() never allocates.
+using MetricHistory = RingBuffer<double>;
 
 /// Peer-staleness census d-mon hands the engine each poll.
 struct HealthSnapshot {

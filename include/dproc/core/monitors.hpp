@@ -176,7 +176,8 @@ class BatteryMonitor : public MonitoringModule {
 /// any other metric, so each node's monitoring cost is visible cluster-wide
 /// under /proc/cluster/<node>/dproc/... and is steerable and filterable
 /// with the same tuning machinery as application metrics. Reads the host's
-/// telemetry registry; with telemetry disabled every value reads 0.
+/// telemetry registry; with telemetry disabled the latency quantiles read 0
+/// (counters always count).
 class DprocMonitor : public MonitoringModule {
  public:
   /// `with_health` appends the two health-engine metrics (dproc_health_score,

@@ -37,7 +37,6 @@ class Host {
         cpu_(engine, config.cpu),
         memory_(config.memory_bytes),
         disk_(engine, config.disk),
-        telemetry_(&engine),
         flight_(&engine) {
     // Engine-level instrumentation: the dispatch count is pulled from the
     // engine at read time, so the hot event loop carries no telemetry code.

@@ -161,13 +161,13 @@ class Channel {
 
   /// Publishes to every remote member known at submission time. Returns the
   /// kernel CPU cost charged for the submission.
-  SimDuration submit(const net::MessagePtr& payload);
-
-  /// Traced publish: stamps the submit hop into this node's hop log and
+  ///
+  /// A valid `trace` stamps the submit hop into this node's hop log and
   /// appends the context to the wire frame so downstream hops can continue
-  /// the chain. Falls back to the untraced path (byte-identical frames)
-  /// when tracing is disabled on this host or `trace` is invalid.
-  SimDuration submit(const net::MessagePtr& payload, net::TraceContext trace);
+  /// the chain. The submit is untraced (byte-identical frames) when tracing
+  /// is disabled on this host or `trace` is invalid (the default).
+  SimDuration submit(const net::MessagePtr& payload,
+                     net::TraceContext trace = {});
 
   /// Per-member payload selection, for interest-scoped fan-out: `select`
   /// returns the payload one member should receive — or nullptr to skip
@@ -176,21 +176,19 @@ class Channel {
   /// frame, so callers should cache payloads per interest group. Counts as
   /// one submitted event however many members were reached; the kernel
   /// cost charged is per member actually sent to, sized by its own frame.
+  /// `trace` as for submit().
   using PayloadSelector = std::function<net::MessagePtr(net::NodeId)>;
-  SimDuration submit_to_each(const PayloadSelector& select);
-  /// Traced variant; same fallback rules as the traced submit().
   SimDuration submit_to_each(const PayloadSelector& select,
-                             net::TraceContext trace);
+                             net::TraceContext trace = {});
 
   /// Publishes to one specific member only — the hierarchical overlay's
   /// leaf-to-aggregator path. Other members are neither sent to nor
   /// charged; a `member` not currently on the channel makes the call a
   /// zero-cost no-op (the frame would reach nobody). Counts as one
   /// submitted event, like a submit_to_each that skipped everyone else.
-  SimDuration submit_to(net::NodeId member, const net::MessagePtr& payload);
-  /// Traced variant; same fallback rules as the traced submit().
+  /// `trace` as for submit().
   SimDuration submit_to(net::NodeId member, const net::MessagePtr& payload,
-                        net::TraceContext trace);
+                        net::TraceContext trace = {});
 
   [[nodiscard]] ChannelId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -205,13 +203,9 @@ class Channel {
   friend class Node;
   Channel(Node& node, std::string name) : node_(node), name_(std::move(name)) {}
 
-  /// Shared fan-out path; `trace` non-null appends the wire trailer.
-  SimDuration submit_impl(const net::MessagePtr& payload,
-                          const net::TraceContext* trace);
-  SimDuration submit_each_impl(const PayloadSelector& select,
-                               const net::TraceContext* trace);
-  SimDuration submit_to_impl(net::NodeId member, const net::MessagePtr& payload,
-                             const net::TraceContext* trace);
+  /// Stamps the submit hop for a traced submit and returns the context to
+  /// append to the wire frame; nullptr when the submit is untraced.
+  const net::TraceContext* stamp_submit(net::TraceContext& trace);
 
   Node& node_;
   std::string name_;
@@ -305,11 +299,11 @@ class Node {
   [[nodiscard]] bool crashed() const { return crashed_; }
   [[nodiscard]] const LivenessConfig& liveness() const { return liveness_; }
   [[nodiscard]] std::uint64_t heartbeats_sent() const {
-    return heartbeats_sent_;
+    return tm_heartbeats_.value();
   }
   /// Evictions this node initiated (dead peers it reported).
   [[nodiscard]] std::uint64_t evictions_initiated() const {
-    return evictions_initiated_;
+    return tm_evictions_.value();
   }
 
   [[nodiscard]] host::Host& host() { return host_; }
@@ -438,11 +432,10 @@ class Node {
   std::uint64_t lookup_rr_ = 0;  // read fan-out across replicas
   ClientCacheStats cache_stats_;
   bool crashed_ = false;
-  std::uint64_t heartbeats_sent_ = 0;
-  std::uint64_t evictions_initiated_ = 0;
 
-  /// Self-monitoring instruments, resolved once from the host registry at
-  /// construction; inert (a branch each) until telemetry is enabled.
+  /// Instruments resolved once from the host registry at construction.
+  /// Counters always count; the latency recorder samples only while
+  /// telemetry is enabled.
   telemetry::Counter& tm_submits_;
   telemetry::Counter& tm_receives_;
   telemetry::Counter& tm_heartbeats_;

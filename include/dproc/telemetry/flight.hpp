@@ -13,7 +13,7 @@
 // Disabled (the default) record() is a single relaxed atomic load and a
 // branch: no allocation, no locking, no simulated cost — the golden trace
 // is untouched. Enabled, record() takes a short spinlock and writes one
-// fixed-size slot; the ring is pre-allocated by configure(), so recording
+// fixed-size slot; the ring is allocated by configure(), so recording
 // never allocates. The lock exists only for the concurrent-stress test
 // harness — the simulator itself is single-threaded.
 #pragma once
@@ -22,6 +22,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "dproc/util/ring_buffer.hpp"
 
 namespace dproc::sim {
 class Engine;
@@ -115,11 +117,12 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Pre-allocates the ring. Recording stays a no-op until both configure()
+  /// Allocates the ring. Recording stays a no-op until both configure()
   /// and set_enabled(true) have run; reconfiguring clears retained events.
   void configure(std::size_t capacity);
   void set_enabled(bool enabled) {
-    enabled_.store(enabled && !ring_.empty(), std::memory_order_relaxed);
+    enabled_.store(enabled && ring_.capacity() > 0,
+                   std::memory_order_relaxed);
   }
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
@@ -131,12 +134,13 @@ class FlightRecorder {
               std::uint64_t a0 = 0, std::uint64_t a1 = 0, std::uint64_t a2 = 0,
               std::uint64_t a3 = 0, std::uint64_t trace_id = 0);
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  /// 0 until configure() has run.
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
+  [[nodiscard]] std::uint64_t dropped() const { return ring_.dropped(); }
   /// Event i counted from the oldest retained (0 == oldest).
   [[nodiscard]] const FlightEvent& event(std::size_t i) const {
-    return ring_[(head_ + i) % ring_.size()];
+    return ring_.at(i);
   }
   void clear();
 
@@ -153,10 +157,7 @@ class FlightRecorder {
   const sim::Engine* clock_;
   std::atomic<bool> enabled_{false};
   mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-  std::vector<FlightEvent> ring_;  // fixed-capacity once configured
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
-  std::uint64_t dropped_ = 0;
+  RingBuffer<FlightEvent> ring_;  // unsized until configure()
 };
 
 /// Renders one event in the dump line format (no trailing newline).

@@ -13,52 +13,36 @@
 //    monitoring module can publish a node's own overhead on the monitoring
 //    channel like any other metric (/proc/cluster/<node>/dproc/...).
 //
-// Disabled (the default) the layer is inert: recorders no-op behind a
-// single branch, nothing allocates, no simulated cost is charged, and no
-// events are scheduled — so the deterministic golden trace and the
-// zero-allocation guarantees of the perf regression suite are untouched.
-// Instrument handles are created eagerly at construction time; enabling
-// telemetry mid-run only starts accumulation, it never reshapes the sim.
+// Counters and gauges cost no memory, so they always count: each fact has
+// one counter, and accessors elsewhere read it. What takes memory is gated.
+// Latency samples and spans only record while the registry is enabled, and
+// hops only while tracing is; the span and hop rings are allocated when
+// their gate first opens. Disabled (the default) a record is one branch,
+// nothing allocates, no simulated cost is charged and no events are
+// scheduled, so the deterministic golden trace and the zero-allocation
+// guarantees of the perf regression suite are untouched.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "dproc/util/ring_buffer.hpp"
 #include "dproc/util/stats.hpp"
 #include "dproc/util/time.hpp"
 
-namespace dproc::sim {
-class Engine;
-}  // namespace dproc::sim
-
 namespace dproc::telemetry {
 
-class Registry;
-
-/// Interned instrument handle: the index of an instrument inside its
-/// registry, resolved once at instrumentation-site construction. Enabled-
-/// mode record cost through a handle is an array index — no string hashing
-/// or map walk ever sits on a hot path.
-using InstrumentId = std::uint32_t;
-
-/// Monotonic event counter. Gated on the owning registry's enabled flag;
-/// an increment is a load, a branch, and an add — never an allocation.
+/// Monotonic event counter. An increment is an add, never an allocation.
 class Counter {
  public:
-  void add(std::uint64_t n = 1) {
-    if (*enabled_) value_ += n;
-  }
+  void add(std::uint64_t n = 1) { value_ += n; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
   void reset() { value_ = 0; }
 
  private:
-  friend class Registry;
-  explicit Counter(const bool* enabled) : enabled_(enabled) {}
-  const bool* enabled_;
   std::uint64_t value_ = 0;
 };
 
@@ -67,9 +51,7 @@ class Counter {
 /// engine's events-dispatched count — at zero steady-state cost).
 class Gauge {
  public:
-  void set(double v) {
-    if (*enabled_) value_ = v;
-  }
+  void set(double v) { value_ = v; }
   /// Pull source; overrides any set() value while installed.
   void set_source(std::function<double()> source) {
     source_ = std::move(source);
@@ -79,9 +61,6 @@ class Gauge {
   }
 
  private:
-  friend class Registry;
-  explicit Gauge(const bool* enabled) : enabled_(enabled) {}
-  const bool* enabled_;
   double value_ = 0.0;
   std::function<double()> source_;
 };
@@ -92,6 +71,9 @@ class Gauge {
 /// inner loops; disabled it is a branch and nothing else.
 class LatencyRecorder {
  public:
+  /// Samples while `*enabled` (the owning registry's flag) is set.
+  explicit LatencyRecorder(const bool* enabled) : enabled_(enabled) {}
+
   void record_us(double us) {
     if (*enabled_) samples_us_.add(us);
   }
@@ -106,8 +88,6 @@ class LatencyRecorder {
   void reset() { samples_us_.clear(); }
 
  private:
-  friend class Registry;
-  explicit LatencyRecorder(const bool* enabled) : enabled_(enabled) {}
   const bool* enabled_;
   SampleSet samples_us_;
 };
@@ -152,96 +132,45 @@ struct Hop {
 /// single-threaded event loop (see util/logging.hpp for the one exception).
 class Registry {
  public:
-  /// `clock` supplies virtual-clock timestamps for spans (nullable: spans
-  /// then stamp 0 and the Chrome export is still well-formed).
-  explicit Registry(const sim::Engine* clock = nullptr,
-                    std::size_t span_capacity = 4096,
+  /// Ring capacities; neither ring is allocated until its gate opens.
+  explicit Registry(std::size_t span_capacity = 4096,
                     std::size_t hop_capacity = 8192);
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
+  /// Gates latency samples and spans; enabling allocates the span ring.
+  void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Causal tracing is gated separately from the instrument flag, so a
   /// cluster can trace event provenance without the full metric overlay
-  /// (and vice versa). Disabled it is branch-only, exactly like enabled_.
-  void set_trace_enabled(bool enabled) { trace_enabled_ = enabled; }
+  /// (and vice versa). Enabling allocates the hop ring.
+  void set_trace_enabled(bool enabled);
   [[nodiscard]] bool trace_enabled() const { return trace_enabled_; }
 
   /// Get-or-create instruments; references stay valid for the registry's
-  /// lifetime (instruments live in stable deque slabs), so hot paths hold
-  /// them as pointers resolved once at construction.
+  /// lifetime (map nodes never move), so hot paths hold them as pointers
+  /// resolved once at construction.
   Counter& counter(const std::string& subsystem, const std::string& name);
   Gauge& gauge(const std::string& subsystem, const std::string& name);
   LatencyRecorder& latency(const std::string& subsystem,
                            const std::string& name);
 
-  /// Interned-handle variants: resolve the "subsystem/name" string exactly
-  /// once (get-or-create), then record through an O(1) index. Sites that
-  /// cannot hold references (serialized configs, tools, watchdog rules
-  /// resolved from user input) pre-intern ids instead of re-hashing
-  /// strings per record.
-  [[nodiscard]] InstrumentId counter_id(const std::string& subsystem,
-                                        const std::string& name);
-  [[nodiscard]] InstrumentId gauge_id(const std::string& subsystem,
-                                      const std::string& name);
-  [[nodiscard]] InstrumentId latency_id(const std::string& subsystem,
-                                        const std::string& name);
-  [[nodiscard]] Counter& counter(InstrumentId id) { return counters_[id]; }
-  [[nodiscard]] Gauge& gauge(InstrumentId id) { return gauges_[id]; }
-  [[nodiscard]] LatencyRecorder& latency(InstrumentId id) {
-    return latencies_[id];
-  }
-  [[nodiscard]] const Counter& counter(InstrumentId id) const {
-    return counters_[id];
-  }
-  [[nodiscard]] const Gauge& gauge(InstrumentId id) const {
-    return gauges_[id];
-  }
-  [[nodiscard]] const LatencyRecorder& latency(InstrumentId id) const {
-    return latencies_[id];
-  }
-
-  // --- trace-span ring ----------------------------------------------------
-
   /// Records a completed span; overwrites the oldest entry when the ring is
-  /// full (spans_dropped() counts the overwrites). No-op when disabled.
+  /// full. No-op when disabled; never allocates once enabled.
   void record_span(const char* category, const char* name, SimTime start,
-                   SimTime end);
-  [[nodiscard]] std::size_t span_count() const { return span_size_; }
-  [[nodiscard]] std::size_t span_capacity() const { return spans_.size(); }
-  [[nodiscard]] std::uint64_t spans_dropped() const { return spans_dropped_; }
-  /// Span i counted from the oldest retained (0 == oldest).
-  [[nodiscard]] const Span& span(std::size_t i) const;
-  void clear_spans();
-
-  // --- causal-tracing hop log ---------------------------------------------
+                   SimTime end) {
+    if (enabled_) spans_.push(Span{category, name, start.ns(), end.ns()});
+  }
+  [[nodiscard]] const RingBuffer<Span>& spans() const { return spans_; }
 
   /// Appends one hop to the bounded hop log; overwrites the oldest entry
-  /// when full (hops_dropped() counts the overwrites). No-op when tracing
-  /// is disabled; never allocates (the ring is pre-sized).
-  void record_hop(const Hop& hop);
-  [[nodiscard]] std::size_t hop_count() const { return hop_size_; }
-  [[nodiscard]] std::size_t hop_capacity() const { return hops_.size(); }
-  [[nodiscard]] std::uint64_t hops_dropped() const { return hops_dropped_; }
-  /// Hop i counted from the oldest retained (0 == oldest).
-  [[nodiscard]] const Hop& hop(std::size_t i) const;
-  void clear_hops();
-
-  /// Virtual-clock "now" in nanoseconds (0 without a clock).
-  [[nodiscard]] std::int64_t now_ns() const;
-
-  // --- snapshots ----------------------------------------------------------
-
-  /// Visits instruments in name order ("subsystem/name").
-  void for_each_counter(
-      const std::function<void(const std::string&, const Counter&)>& fn) const;
-  void for_each_gauge(
-      const std::function<void(const std::string&, const Gauge&)>& fn) const;
-  void for_each_latency(const std::function<void(const std::string&,
-                                                 const LatencyRecorder&)>& fn)
-      const;
+  /// when full. No-op when tracing is disabled; never allocates once
+  /// enabled.
+  void record_hop(const Hop& hop) {
+    if (trace_enabled_) hops_.push(hop);
+  }
+  [[nodiscard]] const RingBuffer<Hop>& hops() const { return hops_; }
 
   /// Text snapshot for procfs / the shell `telemetry` command.
   [[nodiscard]] std::string render() const;
@@ -260,48 +189,16 @@ class Registry {
                                   bool& first) const;
 
  private:
-  const sim::Engine* clock_;
   bool enabled_ = false;
   bool trace_enabled_ = false;
 
-  // Instruments live in deque slabs (stable addresses, O(1) indexing);
-  // the name maps only resolve "subsystem/name" -> index at intern time
-  // and drive name-ordered snapshot iteration.
-  std::deque<Counter> counters_;
-  std::deque<Gauge> gauges_;
-  std::deque<LatencyRecorder> latencies_;
-  std::map<std::string, InstrumentId> counter_ids_;
-  std::map<std::string, InstrumentId> gauge_ids_;
-  std::map<std::string, InstrumentId> latency_ids_;
+  // Keyed "subsystem/name": name-ordered snapshots, stable addresses.
+  std::map<std::string, Counter> counters_;
+  std::map<std::string, Gauge> gauges_;
+  std::map<std::string, LatencyRecorder> latencies_;
 
-  std::vector<Span> spans_;  // fixed-capacity ring
-  std::size_t span_head_ = 0;
-  std::size_t span_size_ = 0;
-  std::uint64_t spans_dropped_ = 0;
-
-  std::vector<Hop> hops_;  // fixed-capacity ring
-  std::size_t hop_head_ = 0;
-  std::size_t hop_size_ = 0;
-  std::uint64_t hops_dropped_ = 0;
-};
-
-/// RAII span: records [construction, destruction] on the registry's virtual
-/// clock. With simulated CPU costs the end usually equals the start (the
-/// clock does not advance inside a callback), so prefer record_span with an
-/// explicit cost-derived end for kernel-path spans; this helper suits
-/// engine-driven intervals.
-class ScopedSpan {
- public:
-  ScopedSpan(Registry& registry, const char* category, const char* name);
-  ~ScopedSpan();
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Registry& registry_;
-  const char* category_;
-  const char* name_;
-  std::int64_t start_ns_;
+  RingBuffer<Span> spans_;
+  RingBuffer<Hop> hops_;
 };
 
 /// Merges several registries (pid-labelled, typically one per node) into a

@@ -216,10 +216,10 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
     const telemetry::Registry& tm = host_.telemetry();
     std::ostringstream out;
     out << "tracing " << (tm.trace_enabled() ? "enabled" : "disabled") << "\n"
-        << "hops " << tm.hop_count() << "/" << tm.hop_capacity()
-        << " dropped " << tm.hops_dropped() << "\n"
-        << "slo_violations " << tm_slo_violations_.value() << "\n";
-    if (tm.hop_count() > 0) {
+        << "hops " << tm.hops().size() << "/" << tm.hops().capacity()
+        << " dropped " << tm.hops().dropped() << "\n"
+        << "slo_violations " << slo_violations() << "\n";
+    if (!tm.hops().empty()) {
       const auto channels = kecho_.channels();
       out << telemetry::render_hop_breakdown(
           telemetry::hop_breakdown({&tm}),
@@ -244,11 +244,13 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
       out << "batching on epsilon " << config_.batch.delta_epsilon
           << " keyframe_every " << config_.batch.keyframe_every
           << " interest " << (config_.batch.interest ? 1 : 0) << "\n"
-          << "delta_suppressed " << delta_suppressed_total_ << "\n"
-          << "interest_bytes_saved " << interest_bytes_saved_ << "\n";
+          << "delta_suppressed " << delta_suppressed_total() << "\n"
+          << "interest_bytes_saved " << interest_bytes_saved() << "\n";
     }
-    if (collect_errors_ > 0) out << "collect_errors " << collect_errors_ << "\n";
-    if (stray_samples_ > 0) out << "stray_samples " << stray_samples_ << "\n";
+    if (collect_errors() > 0) {
+      out << "collect_errors " << collect_errors() << "\n";
+    }
+    if (stray_samples() > 0) out << "stray_samples " << stray_samples() << "\n";
     if (!last_control_error_.empty()) {
       out << "last_control_error " << last_control_error_ << "\n";
     }
@@ -766,15 +768,12 @@ Status DMon::send_tuning(net::NodeId target, const TuningConfig& config) {
         "control channel not established yet");
   }
   const net::MessagePtr frame = encode_control_event(target, config);
-  if (host_.telemetry().trace_enabled()) {
-    control_channel_->submit(frame, begin_trace(control_channel_->id()));
-  } else {
-    control_channel_->submit(frame);
-  }
+  control_channel_->submit(frame, begin_trace(control_channel_->id()));
   return Status::ok();
 }
 
 net::TraceContext DMon::begin_trace(kecho::ChannelId channel) {
+  if (!host_.telemetry().trace_enabled()) return {};
   const std::int64_t now_ns = host_.engine().now().ns();
   net::TraceContext ctx;
   // Cluster-unique and deterministic: the high word is the origin node,
@@ -1021,16 +1020,11 @@ void DMon::broadcast_interest() {
   w.u32(static_cast<std::uint32_t>(local_interest_.size()));
   for (const std::string& name : local_interest_) w.str(name);
   const net::MessagePtr frame = net::make_message(w.take());
-  if (host_.telemetry().trace_enabled()) {
-    control_channel_->submit(frame, begin_trace(control_channel_->id()));
-  } else {
-    control_channel_->submit(frame);
-  }
+  control_channel_->submit(frame, begin_trace(control_channel_->id()));
 }
 
 void DMon::note_strays(std::size_t count) {
   if (count == 0) return;
-  stray_samples_ += count;
   tm_stray_samples_.add(count);
   if (!warned_strays_) {
     warned_strays_ = true;
@@ -1048,12 +1042,8 @@ void DMon::submit_per_module(const std::vector<MetricSample>& sorted,
   for (const std::vector<MetricSample>& group : groups_scratch_) {
     if (group.empty()) continue;
     const net::MessagePtr frame = encode_monitor_event(group);
-    if (host_.telemetry().trace_enabled()) {
-      record.submit_cost +=
-          monitor_channel_->submit(frame, begin_trace(monitor_channel_->id()));
-    } else {
-      record.submit_cost += monitor_channel_->submit(frame);
-    }
+    record.submit_cost +=
+        monitor_channel_->submit(frame, begin_trace(monitor_channel_->id()));
     ++record.events_submitted;
     record.samples_published += group.size();
   }
@@ -1099,7 +1089,6 @@ bool DMon::build_publish_batch(std::vector<MetricSample>& sorted,
     batch.entries.push_back(
         net::MonitorBatch::Entry{s.id, s.value, s.sampled_at.ns()});
   }
-  delta_suppressed_total_ += record.delta_suppressed;
   tm_batch_delta_suppressed_.add(record.delta_suppressed);
   // A period where everything was suppressed sends no frame at all — same
   // as a period where the filter kept everything back.
@@ -1122,12 +1111,8 @@ void DMon::submit_batch(std::vector<MetricSample>& sorted, PollRecord& record) {
   const net::MonitorBatch& batch = batch_scratch_;
   const net::MessagePtr full = encode_batch_event(batch);
   if (!config_.batch.interest || peer_interests_.empty()) {
-    if (host_.telemetry().trace_enabled()) {
-      record.submit_cost +=
-          monitor_channel_->submit(full, begin_trace(monitor_channel_->id()));
-    } else {
-      record.submit_cost += monitor_channel_->submit(full);
-    }
+    record.submit_cost +=
+        monitor_channel_->submit(full, begin_trace(monitor_channel_->id()));
   } else {
     // Per-member payload selection: one filtered frame per distinct
     // interest set (members sharing a set share the encoding), the full
@@ -1180,13 +1165,8 @@ void DMon::submit_batch(std::vector<MetricSample>& sorted, PollRecord& record) {
       }
       return frame;
     };
-    if (host_.telemetry().trace_enabled()) {
-      record.submit_cost += monitor_channel_->submit_to_each(
-          select, begin_trace(monitor_channel_->id()));
-    } else {
-      record.submit_cost += monitor_channel_->submit_to_each(select);
-    }
-    interest_bytes_saved_ += saved;
+    record.submit_cost += monitor_channel_->submit_to_each(
+        select, begin_trace(monitor_channel_->id()));
     tm_bytes_saved_.add(saved);
   }
   ++record.events_submitted;
@@ -1506,13 +1486,8 @@ void DMon::submit_hier(std::vector<MetricSample>& sorted, PollRecord& record) {
   if (!channel->ready()) return;
   if (!build_publish_batch(sorted, record, batch_scratch_)) return;
   const net::MessagePtr frame = encode_batch_event(batch_scratch_);
-  if (host_.telemetry().trace_enabled()) {
-    record.submit_cost += channel->submit_to(
-        static_cast<net::NodeId>(*act), frame, begin_trace(channel->id()));
-  } else {
-    record.submit_cost +=
-        channel->submit_to(static_cast<net::NodeId>(*act), frame);
-  }
+  record.submit_cost += channel->submit_to(
+      static_cast<net::NodeId>(*act), frame, begin_trace(channel->id()));
   ++record.events_submitted;
   tm_batch_submits_.add();
   tm_batch_samples_.add(batch_scratch_.entries.size());
@@ -1556,11 +1531,7 @@ void DMon::publish_rollups(PollRecord& record) {
       continue;
     }
     const net::MessagePtr frame = encode_aggregate_event(agg_scratch_);
-    if (host_.telemetry().trace_enabled()) {
-      record.submit_cost += up->submit(frame, begin_trace(up->id()));
-    } else {
-      record.submit_cost += up->submit(frame);
-    }
+    record.submit_cost += up->submit(frame, begin_trace(up->id()));
     ++record.events_submitted;
     if (duty.zone->tier < tm_tier_.size()) {
       tm_tier_[duty.zone->tier].tx_events->add();
@@ -1774,7 +1745,6 @@ PollRecord DMon::poll() {
       DPROC_ERROR() << "module " << entry.module->name()
                     << " returned wrong sample count; dropping its samples "
                        "this period";
-      ++collect_errors_;
       tm_collect_errors_.add();
       host_.flight().record(
           telemetry::Severity::kWarn, telemetry::FlightSubsystem::kDmon,

@@ -8,22 +8,31 @@
 
 namespace dproc::core {
 
-double MetricHistory::window_sum(std::size_t window) const {
-  const std::size_t n = std::min(window, size_);
+namespace {
+
+/// Sum over the newest min(window, size) entries.
+double window_sum(const MetricHistory& history, std::size_t window) {
+  const std::size_t n = std::min(window, history.size());
   double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += at(size_ - 1 - i);
+  for (std::size_t i = 0; i < n; ++i) {
+    sum += history.at(history.size() - 1 - i);
+  }
   return sum;
 }
 
-double MetricHistory::window_active(std::size_t window) const {
-  const std::size_t n = std::min(window, size_);
+/// Fraction of the newest min(window, size) entries that are nonzero; 0
+/// when empty.
+double window_active(const MetricHistory& history, std::size_t window) {
+  const std::size_t n = std::min(window, history.size());
   if (n == 0) return 0.0;
   std::size_t active = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (at(size_ - 1 - i) != 0.0) ++active;
+    if (history.at(history.size() - 1 - i) != 0.0) ++active;
   }
   return static_cast<double>(active) / static_cast<double>(n);
 }
+
+}  // namespace
 
 HealthEngine::HealthEngine(host::Host& host, telemetry::FlightRecorder* flight,
                            HealthConfig config)
@@ -43,20 +52,15 @@ HealthEngine::HealthEngine(host::Host& host, telemetry::FlightRecorder* flight,
       {"kecho/evictions", &tm.counter("kecho", "evictions")},
       {"registry/failovers", &tm.counter("registry", "failovers")},
   };
+  const std::size_t depth = std::max<std::size_t>(config_.history_depth, 1);
   for (const auto& [name, counter] : counters) {
-    Series series;
-    series.name = name;
-    series.counter = counter;
-    series.last_value = counter->value();
-    series.history.configure(config_.history_depth);
-    series_.push_back(std::move(series));
+    series_.push_back(
+        Series{name, counter, counter->value(), MetricHistory{depth}});
   }
   for (const char* name : {"peers/stale", "health/score"}) {
-    Series series;
-    series.name = name;
-    series.history.configure(config_.history_depth);
-    series_.push_back(std::move(series));
+    series_.push_back(Series{name, nullptr, 0, MetricHistory{depth}});
   }
+  for (Series& s : series_) s.history.reserve();
   series_names_.reserve(series_.size());
   for (const Series& s : series_) series_names_.push_back(s.name);
 
@@ -117,7 +121,7 @@ void HealthEngine::on_poll(const HealthSnapshot& snapshot, SimTime now) {
       std::max(config_.score_window, 1));
   auto active = [this, window](const char* name) {
     for (const Series& s : series_) {
-      if (s.name == name) return s.history.window_active(window);
+      if (s.name == name) return window_active(s.history, window);
     }
     return 0.0;
   };
@@ -154,8 +158,8 @@ void HealthEngine::on_poll(const HealthSnapshot& snapshot, SimTime now) {
     const WatchdogRule& rule = rules_[r];
     Series* series = find_series(rule.series);
     if (series == nullptr) continue;
-    const double delta = series->history.window_sum(
-        static_cast<std::size_t>(std::max(rule.window, 1)));
+    const double delta = window_sum(
+        series->history, static_cast<std::size_t>(std::max(rule.window, 1)));
     if (delta < rule.min_delta) continue;
     // A sustained signal re-trips every poll; the dedup window below folds
     // the repeats into the open incident as symptoms.
@@ -223,9 +227,10 @@ std::string HealthEngine::render() const {
   const auto window =
       static_cast<std::size_t>(std::max(config_.score_window, 1));
   for (const Series& s : series_) {
-    out << "series " << s.name << " window_sum " << s.history.window_sum(window)
-        << " active " << s.history.window_active(window) << " depth "
-        << s.history.size() << "/" << s.history.depth() << "\n";
+    out << "series " << s.name << " window_sum "
+        << window_sum(s.history, window) << " active "
+        << window_active(s.history, window) << " depth "
+        << s.history.size() << "/" << s.history.capacity() << "\n";
   }
   out << "incidents retained " << incidents_.size() << " opened " << opened_
       << " deduped " << deduped_ << "\n";

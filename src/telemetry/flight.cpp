@@ -59,11 +59,10 @@ const char* to_string(FlightCode code) {
 }
 
 void FlightRecorder::configure(std::size_t capacity) {
+  RingBuffer<FlightEvent> ring{capacity == 0 ? 1 : capacity};
+  ring.reserve();
   while (lock_.test_and_set(std::memory_order_acquire)) {}
-  ring_.assign(capacity == 0 ? 1 : capacity, FlightEvent{});
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
+  ring_ = std::move(ring);
   lock_.clear(std::memory_order_release);
 }
 
@@ -84,30 +83,20 @@ void FlightRecorder::record(Severity severity, FlightSubsystem subsystem,
   event.subsystem = subsystem;
 
   while (lock_.test_and_set(std::memory_order_acquire)) {}
-  ring_[(head_ + size_) % ring_.size()] = event;
-  if (size_ == ring_.size()) {
-    head_ = (head_ + 1) % ring_.size();
-    ++dropped_;
-  } else {
-    ++size_;
-  }
+  ring_.push(event);
   lock_.clear(std::memory_order_release);
 }
 
 void FlightRecorder::clear() {
   while (lock_.test_and_set(std::memory_order_acquire)) {}
-  head_ = 0;
-  size_ = 0;
-  dropped_ = 0;
+  ring_.clear();
   lock_.clear(std::memory_order_release);
 }
 
 void FlightRecorder::snapshot(std::vector<FlightEvent>& out) const {
   while (lock_.test_and_set(std::memory_order_acquire)) {}
-  out.reserve(out.size() + size_);
-  for (std::size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(head_ + i) % ring_.size()]);
-  }
+  out.reserve(out.size() + ring_.size());
+  ring_.for_each([&out](const FlightEvent& event) { out.push_back(event); });
   lock_.clear(std::memory_order_release);
 }
 

@@ -7,8 +7,6 @@
 #include <set>
 #include <sstream>
 
-#include "dproc/sim/engine.hpp"
-
 namespace dproc::telemetry {
 
 namespace {
@@ -28,9 +26,8 @@ constexpr int kFlowLaneTid = 0;
 std::vector<std::pair<std::string, int>> category_lanes(
     const Registry& registry) {
   std::set<std::string> categories;
-  for (std::size_t i = 0; i < registry.span_count(); ++i) {
-    categories.insert(registry.span(i).category);
-  }
+  registry.spans().for_each(
+      [&categories](const Span& span) { categories.insert(span.category); });
   std::vector<std::pair<std::string, int>> lanes;
   lanes.reserve(categories.size());
   int tid = 1;
@@ -145,128 +142,45 @@ const char* to_string(HopStage stage) {
   return "?";
 }
 
-Registry::Registry(const sim::Engine* clock, std::size_t span_capacity,
-                   std::size_t hop_capacity)
-    : clock_(clock),
-      spans_(span_capacity == 0 ? 1 : span_capacity),
-      hops_(hop_capacity == 0 ? 1 : hop_capacity) {}
+Registry::Registry(std::size_t span_capacity, std::size_t hop_capacity)
+    : spans_(std::max<std::size_t>(span_capacity, 1)),
+      hops_(std::max<std::size_t>(hop_capacity, 1)) {}
+
+void Registry::set_enabled(bool enabled) {
+  enabled_ = enabled;
+  if (enabled) spans_.reserve();
+}
+
+void Registry::set_trace_enabled(bool enabled) {
+  trace_enabled_ = enabled;
+  if (enabled) hops_.reserve();
+}
 
 Counter& Registry::counter(const std::string& subsystem,
                            const std::string& name) {
-  return counters_[counter_id(subsystem, name)];
+  return counters_[full_name(subsystem, name)];
 }
 
 Gauge& Registry::gauge(const std::string& subsystem, const std::string& name) {
-  return gauges_[gauge_id(subsystem, name)];
+  return gauges_[full_name(subsystem, name)];
 }
 
 LatencyRecorder& Registry::latency(const std::string& subsystem,
                                    const std::string& name) {
-  return latencies_[latency_id(subsystem, name)];
-}
-
-InstrumentId Registry::counter_id(const std::string& subsystem,
-                                  const std::string& name) {
-  const auto [it, inserted] = counter_ids_.emplace(
-      full_name(subsystem, name),
-      static_cast<InstrumentId>(counters_.size()));
-  if (inserted) counters_.push_back(Counter{&enabled_});
-  return it->second;
-}
-
-InstrumentId Registry::gauge_id(const std::string& subsystem,
-                                const std::string& name) {
-  const auto [it, inserted] = gauge_ids_.emplace(
-      full_name(subsystem, name), static_cast<InstrumentId>(gauges_.size()));
-  if (inserted) gauges_.push_back(Gauge{&enabled_});
-  return it->second;
-}
-
-InstrumentId Registry::latency_id(const std::string& subsystem,
-                                  const std::string& name) {
-  const auto [it, inserted] = latency_ids_.emplace(
-      full_name(subsystem, name),
-      static_cast<InstrumentId>(latencies_.size()));
-  if (inserted) latencies_.push_back(LatencyRecorder{&enabled_});
-  return it->second;
-}
-
-void Registry::record_span(const char* category, const char* name,
-                           SimTime start, SimTime end) {
-  if (!enabled_) return;
-  Span& slot = spans_[(span_head_ + span_size_) % spans_.size()];
-  slot = Span{category, name, start.ns(), end.ns()};
-  if (span_size_ == spans_.size()) {
-    span_head_ = (span_head_ + 1) % spans_.size();
-    ++spans_dropped_;
-  } else {
-    ++span_size_;
-  }
-}
-
-const Span& Registry::span(std::size_t i) const {
-  return spans_[(span_head_ + i) % spans_.size()];
-}
-
-void Registry::clear_spans() {
-  span_head_ = 0;
-  span_size_ = 0;
-  spans_dropped_ = 0;
-}
-
-void Registry::record_hop(const Hop& hop) {
-  if (!trace_enabled_) return;
-  Hop& slot = hops_[(hop_head_ + hop_size_) % hops_.size()];
-  slot = hop;
-  if (hop_size_ == hops_.size()) {
-    hop_head_ = (hop_head_ + 1) % hops_.size();
-    ++hops_dropped_;
-  } else {
-    ++hop_size_;
-  }
-}
-
-const Hop& Registry::hop(std::size_t i) const {
-  return hops_[(hop_head_ + i) % hops_.size()];
-}
-
-void Registry::clear_hops() {
-  hop_head_ = 0;
-  hop_size_ = 0;
-  hops_dropped_ = 0;
-}
-
-std::int64_t Registry::now_ns() const {
-  return clock_ ? clock_->now().ns() : 0;
-}
-
-void Registry::for_each_counter(
-    const std::function<void(const std::string&, const Counter&)>& fn) const {
-  for (const auto& [name, id] : counter_ids_) fn(name, counters_[id]);
-}
-
-void Registry::for_each_gauge(
-    const std::function<void(const std::string&, const Gauge&)>& fn) const {
-  for (const auto& [name, id] : gauge_ids_) fn(name, gauges_[id]);
-}
-
-void Registry::for_each_latency(
-    const std::function<void(const std::string&, const LatencyRecorder&)>& fn)
-    const {
-  for (const auto& [name, id] : latency_ids_) fn(name, latencies_[id]);
+  return latencies_.try_emplace(full_name(subsystem, name), &enabled_)
+      .first->second;
 }
 
 std::string Registry::render() const {
   std::ostringstream out;
   out << "telemetry " << (enabled_ ? "enabled" : "disabled") << "\n";
-  for (const auto& [name, id] : counter_ids_) {
-    out << "counter " << name << " " << counters_[id].value() << "\n";
+  for (const auto& [name, counter] : counters_) {
+    out << "counter " << name << " " << counter.value() << "\n";
   }
-  for (const auto& [name, id] : gauge_ids_) {
-    out << "gauge " << name << " " << gauges_[id].value() << "\n";
+  for (const auto& [name, gauge] : gauges_) {
+    out << "gauge " << name << " " << gauge.value() << "\n";
   }
-  for (const auto& [name, id] : latency_ids_) {
-    const LatencyRecorder& latency = latencies_[id];
+  for (const auto& [name, latency] : latencies_) {
     out << "latency " << name << " count=" << latency.count();
     if (latency.count() > 0) {
       out << " mean_us=" << latency.mean_us()
@@ -277,10 +191,10 @@ std::string Registry::render() const {
     }
     out << "\n";
   }
-  out << "spans " << span_size_ << "/" << spans_.size() << " dropped "
-      << spans_dropped_ << "\n";
-  out << "hops " << hop_size_ << "/" << hops_.size() << " dropped "
-      << hops_dropped_ << " tracing "
+  out << "spans " << spans_.size() << "/" << spans_.capacity() << " dropped "
+      << spans_.dropped() << "\n";
+  out << "hops " << hops_.size() << "/" << hops_.capacity() << " dropped "
+      << hops_.dropped() << " tracing "
       << (trace_enabled_ ? "enabled" : "disabled") << "\n";
   return out.str();
 }
@@ -291,16 +205,14 @@ void Registry::append_chrome_trace_events(std::string& out, int pid,
   for (const auto& [category, tid] : lanes) {
     append_thread_name_event(out, pid, tid, category, first);
   }
-  if (hop_size_ > 0) {
+  if (!hops_.empty()) {
     append_thread_name_event(out, pid, kFlowLaneTid, "trace", first);
   }
-  for (std::size_t i = 0; i < span_size_; ++i) {
-    const Span& s = span(i);
+  spans_.for_each([&](const Span& s) {
     append_complete_event(out, s, pid, lane_of(lanes, s.category), first);
-  }
-  for (std::size_t i = 0; i < hop_size_; ++i) {
-    append_flow_event(out, hop(i), pid, first);
-  }
+  });
+  hops_.for_each(
+      [&](const Hop& hop) { append_flow_event(out, hop, pid, first); });
 }
 
 std::string Registry::export_chrome_trace(int pid) const {
@@ -327,11 +239,10 @@ std::vector<HopBreakdownRow> hop_breakdown(
   std::map<std::pair<std::uint32_t, std::uint8_t>, SampleSet> cells;
   for (const Registry* registry : registries) {
     if (registry == nullptr) continue;
-    for (std::size_t i = 0; i < registry->hop_count(); ++i) {
-      const Hop& hop = registry->hop(i);
+    registry->hops().for_each([&cells](const Hop& hop) {
       cells[{hop.channel, static_cast<std::uint8_t>(hop.stage)}].add(
           static_cast<double>(hop.dur_ns) / 1000.0);
-    }
+    });
   }
   std::vector<HopBreakdownRow> rows;
   rows.reserve(cells.size());
@@ -351,10 +262,9 @@ std::vector<std::pair<Hop, int>> collect_trace(
   std::vector<std::pair<Hop, int>> chain;
   for (const auto& [pid, registry] : registries) {
     if (registry == nullptr) continue;
-    for (std::size_t i = 0; i < registry->hop_count(); ++i) {
-      const Hop& hop = registry->hop(i);
+    registry->hops().for_each([&, pid = pid](const Hop& hop) {
       if (hop.trace_id == trace_id) chain.emplace_back(hop, pid);
-    }
+    });
   }
   std::sort(chain.begin(), chain.end(),
             [](const std::pair<Hop, int>& a, const std::pair<Hop, int>& b) {
@@ -389,18 +299,6 @@ std::string render_hop_breakdown(
     out << "\n";
   }
   return out.str();
-}
-
-ScopedSpan::ScopedSpan(Registry& registry, const char* category,
-                       const char* name)
-    : registry_(registry),
-      category_(category),
-      name_(name),
-      start_ns_(registry.now_ns()) {}
-
-ScopedSpan::~ScopedSpan() {
-  registry_.record_span(category_, name_, SimTime{start_ns_},
-                        SimTime{registry_.now_ns()});
 }
 
 }  // namespace dproc::telemetry

@@ -1,6 +1,7 @@
 // Telemetry registry semantics: counter/gauge/latency behaviour against the
-// enabled flag, span-ring wraparound, the zero-allocation guarantee of the
-// disabled mode (alloc counter from bench/alloc_counter.cpp), Chrome
+// enabled flag, span-ring wraparound, the zero-byte and zero-allocation
+// guarantees of the disabled mode (alloc counter from
+// bench/alloc_counter.cpp), rings allocated only when enabled, Chrome
 // trace_event export validity, and the end-to-end self-monitoring path: an
 // 8-node cluster publishing each node's own overhead cluster-wide under
 // /proc/cluster/<node>/dproc/...
@@ -21,20 +22,21 @@ using dproc::microseconds;
 using dproc::seconds;
 using dproc::telemetry::Registry;
 
-TEST(TelemetryCounter, DisabledByDefaultAndGatedOnEnable) {
+TEST(TelemetryCounter, CountsWhetherOrNotEnabled) {
   Registry registry;
   auto& submits = registry.counter("kecho", "submits");
   submits.add();
-  EXPECT_EQ(submits.value(), 0u) << "disabled counters must not move";
+  EXPECT_EQ(submits.value(), 1u)
+      << "a counter costs no memory, so it counts while disabled";
 
   registry.set_enabled(true);
   submits.add();
   submits.add(3);
-  EXPECT_EQ(submits.value(), 4u);
+  EXPECT_EQ(submits.value(), 5u);
 
   registry.set_enabled(false);
   submits.add(100);
-  EXPECT_EQ(submits.value(), 4u) << "disabling freezes accumulation";
+  EXPECT_EQ(submits.value(), 105u) << "disabling does not freeze counters";
 }
 
 TEST(TelemetryCounter, GetOrCreateReturnsTheSameInstrument) {
@@ -45,15 +47,15 @@ TEST(TelemetryCounter, GetOrCreateReturnsTheSameInstrument) {
   EXPECT_EQ(registry.counter("a", "y").value(), 0u);
 }
 
-TEST(TelemetryGauge, SetGatedButPullSourceAlwaysLive) {
+TEST(TelemetryGauge, SetAndPullSourceAlwaysLive) {
   Registry registry;
   auto& gauge = registry.gauge("sim", "events");
   gauge.set(7.0);
-  EXPECT_EQ(gauge.value(), 0.0) << "disabled set() must not stick";
+  EXPECT_EQ(gauge.value(), 7.0) << "set() sticks while disabled";
 
   registry.set_enabled(true);
-  gauge.set(7.0);
-  EXPECT_EQ(gauge.value(), 7.0);
+  gauge.set(8.0);
+  EXPECT_EQ(gauge.value(), 8.0);
 
   double pulled = 42.0;
   gauge.set_source([&pulled] { return pulled; });
@@ -82,32 +84,58 @@ TEST(TelemetryLatency, RecordsQuantiles) {
 }
 
 TEST(TelemetrySpans, RingWrapsAndCountsOverwrites) {
-  Registry registry{nullptr, 4};
+  Registry registry{4};
   registry.set_enabled(true);
   for (int i = 0; i < 6; ++i) {
     const SimTime start = SimTime{} + seconds(static_cast<double>(i));
     registry.record_span("test", "span", start, start + microseconds(10.0));
   }
-  EXPECT_EQ(registry.span_capacity(), 4u);
-  EXPECT_EQ(registry.span_count(), 4u);
-  EXPECT_EQ(registry.spans_dropped(), 2u);
+  EXPECT_EQ(registry.spans().capacity(), 4u);
+  EXPECT_EQ(registry.spans().size(), 4u);
+  EXPECT_EQ(registry.spans().dropped(), 2u);
   // Oldest retained is the third recorded (t=2s); newest is the sixth.
-  EXPECT_EQ(registry.span(0).start_ns, (SimTime{} + seconds(2.0)).ns());
-  EXPECT_EQ(registry.span(3).start_ns, (SimTime{} + seconds(5.0)).ns());
-
-  registry.clear_spans();
-  EXPECT_EQ(registry.span_count(), 0u);
+  EXPECT_EQ(registry.spans().at(0).start_ns, (SimTime{} + seconds(2.0)).ns());
+  EXPECT_EQ(registry.spans().at(3).start_ns, (SimTime{} + seconds(5.0)).ns());
 }
 
 TEST(TelemetrySpans, DisabledRecordsNothing) {
-  Registry registry{nullptr, 4};
+  Registry registry{4};
   registry.record_span("test", "span", SimTime{}, SimTime{} + seconds(1.0));
-  EXPECT_EQ(registry.span_count(), 0u);
-  EXPECT_EQ(registry.spans_dropped(), 0u);
+  EXPECT_EQ(registry.spans().size(), 0u);
+  EXPECT_EQ(registry.spans().dropped(), 0u);
+}
+
+TEST(TelemetryAllocation, DefaultRegistryCostsZeroBytesUntilEnabled) {
+  std::uint64_t mark = dproc::bench::alloc_count();
+  Registry registry;
+  EXPECT_EQ(dproc::bench::alloc_count() - mark, 0u)
+      << "constructing a registry must not allocate its rings";
+  const std::string idle = registry.render();
+  EXPECT_NE(idle.find("spans 0/4096 dropped 0\n"), std::string::npos)
+      << "the rendered capacity does not depend on allocation";
+  EXPECT_NE(idle.find("hops 0/8192 dropped 0 "), std::string::npos);
+
+  mark = dproc::bench::alloc_count();
+  registry.set_enabled(true);
+  EXPECT_EQ(dproc::bench::alloc_count() - mark, 1u)
+      << "enabling allocates the span ring";
+
+  mark = dproc::bench::alloc_count();
+  registry.set_trace_enabled(true);
+  EXPECT_EQ(dproc::bench::alloc_count() - mark, 1u)
+      << "enabling tracing allocates the hop ring";
+
+  mark = dproc::bench::alloc_count();
+  registry.set_enabled(false);
+  registry.set_trace_enabled(false);
+  registry.set_enabled(true);
+  registry.set_trace_enabled(true);
+  EXPECT_EQ(dproc::bench::alloc_count() - mark, 0u)
+      << "re-enabling keeps the rings already allocated";
 }
 
 TEST(TelemetryAllocation, DisabledInstrumentsNeverTouchTheHeap) {
-  Registry registry;  // default 4096-span ring, pre-allocated
+  Registry registry;  // default 4096-span ring, not allocated
   auto& counter = registry.counter("kecho", "submits");
   auto& gauge = registry.gauge("cpu", "util");
   auto& latency = registry.latency("dmon", "poll_us");
@@ -136,7 +164,7 @@ TEST(TelemetryAllocation, EnabledSpanAndCounterRecordingIsAllocFree) {
                          SimTime{} + microseconds(5.0));
   }
   EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
-      << "the span ring is pre-allocated; recording must not allocate";
+      << "the span ring is allocated on enable; recording must not allocate";
 }
 
 TEST(TelemetryChromeTrace, ExportIsWellFormed) {
@@ -228,7 +256,7 @@ TEST(TelemetryCluster, SelfMonitoringPublishesOverheadClusterWide) {
   // Spans accumulated and export merges one pid lane per node.
   std::vector<std::pair<int, const Registry*>> registries;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
-    EXPECT_GT(cluster.host(i).telemetry().span_count(), 0u) << "node " << i;
+    EXPECT_GT(cluster.host(i).telemetry().spans().size(), 0u) << "node " << i;
     registries.emplace_back(static_cast<int>(i),
                             &cluster.host(i).telemetry());
   }
@@ -243,9 +271,10 @@ TEST(TelemetryCluster, DisabledByDefaultLeavesNoTrace) {
   engine.run_until(SimTime{} + seconds(5.0));
 
   EXPECT_FALSE(cluster.host(0).telemetry().enabled());
-  EXPECT_EQ(cluster.host(0).telemetry().counter("kecho", "submits").value(),
+  // Counters cost no memory and count regardless; spans are what stay off.
+  EXPECT_GT(cluster.host(0).telemetry().counter("kecho", "submits").value(),
             0u);
-  EXPECT_EQ(cluster.host(0).telemetry().span_count(), 0u);
+  EXPECT_EQ(cluster.host(0).telemetry().spans().size(), 0u);
   // No DPROC_MON module registered: the dproc metric files don't exist.
   EXPECT_FALSE(
       cluster.procfs(1).read("/proc/cluster/node0/dproc/submits").is_ok());

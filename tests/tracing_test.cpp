@@ -168,10 +168,10 @@ class JsonParser {
 
 struct TracedCluster {
   explicit TracedCluster(std::size_t nodes, SimDuration monitor_slo = {},
-                         double run_seconds = 5.0) {
+                         double run_seconds = 5.0, bool self_monitor = true) {
     core::ClusterConfig config;
     config.node_count = nodes;
-    config.self_monitor = true;
+    config.self_monitor = self_monitor;
     config.trace.enabled = true;
     if (monitor_slo > SimDuration::zero()) {
       config.trace.channel_slo.emplace_back(config.dmon.monitor_channel,
@@ -196,9 +196,9 @@ struct TracedCluster {
       const {
     std::map<std::uint64_t, std::set<HopStage>> out;
     for (const auto& [pid, registry] : registries()) {
-      for (std::size_t i = 0; i < registry->hop_count(); ++i) {
-        out[registry->hop(i).trace_id].insert(registry->hop(i).stage);
-      }
+      registry->hops().for_each([&out](const telemetry::Hop& hop) {
+        out[hop.trace_id].insert(hop.stage);
+      });
     }
     return out;
   }
@@ -222,7 +222,7 @@ TEST(Tracing, OffByDefaultRecordsNothing) {
   engine.run_until(SimTime{} + seconds(3.0));
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     EXPECT_FALSE(cluster.host(i).telemetry().trace_enabled());
-    EXPECT_EQ(cluster.host(i).telemetry().hop_count(), 0u);
+    EXPECT_EQ(cluster.host(i).telemetry().hops().size(), 0u);
   }
 }
 
@@ -317,28 +317,44 @@ TEST(Tracing, HopBreakdownCoversMonitoringPipeline) {
 
 TEST(Tracing, SloWatchdogFlagsLateFeeds) {
   // Monitoring events wait up to a full poll period in the receiver's rx
-  // queue, so a 1 ms end-to-end budget must be violated constantly.
-  TracedCluster tc{4, milliseconds(1.0)};
-  const auto& cluster = *tc.cluster;
-  std::uint64_t total = 0;
-  for (std::size_t i = 0; i < cluster.size(); ++i) {
-    total += tc.cluster->dmon(i)->slo_violations();
-  }
-  EXPECT_GT(total, 0u);
+  // queue, so a 1 ms end-to-end budget must be violated constantly. The
+  // count is a fact of tracing, not a self-monitoring metric, so it must
+  // hold with self-monitoring off too.
+  for (const bool self_monitor : {true, false}) {
+    SCOPED_TRACE(self_monitor ? "self_monitor on" : "self_monitor off");
+    TracedCluster tc{4, milliseconds(1.0), 5.0, self_monitor};
+    const auto& cluster = *tc.cluster;
+    std::uint64_t total = 0;
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      total += tc.cluster->dmon(i)->slo_violations();
+    }
+    EXPECT_GT(total, 0u);
 
-  // Every updating peer's feed is distrusted, and the health snapshot says
-  // so too.
-  core::DMon& dmon = *tc.cluster->dmon(0);
-  bool any_checked = false;
-  dmon.for_each_peer([&](net::NodeId node, const std::string&) {
-    auto health = dmon.peer_health(node);
-    ASSERT_TRUE(health.has_value());
-    if (!health->has_data) return;
-    EXPECT_FALSE(health->slo_ok);
-    EXPECT_FALSE(dmon.feed_within_slo(node));
-    any_checked = true;
-  });
-  EXPECT_TRUE(any_checked);
+    // /proc/dproc/trace reports the same count.
+    core::DMon& dmon = *tc.cluster->dmon(0);
+    auto trace = tc.cluster->procfs(0).read("/proc/dproc/trace");
+    ASSERT_TRUE(trace.is_ok());
+    const std::string& text = trace.value();
+    const std::string key = "\nslo_violations ";
+    const std::size_t at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << text;
+    EXPECT_GT(dmon.slo_violations(), 0u);
+    EXPECT_EQ(std::stoull(text.substr(at + key.size())),
+              dmon.slo_violations());
+
+    // Every updating peer's feed is distrusted, and the health snapshot
+    // says so too.
+    bool any_checked = false;
+    dmon.for_each_peer([&](net::NodeId node, const std::string&) {
+      auto health = dmon.peer_health(node);
+      ASSERT_TRUE(health.has_value());
+      if (!health->has_data) return;
+      EXPECT_FALSE(health->slo_ok);
+      EXPECT_FALSE(dmon.feed_within_slo(node));
+      any_checked = true;
+    });
+    EXPECT_TRUE(any_checked);
+  }
 }
 
 TEST(Tracing, SloWatchdogQuietWithinBudget) {
@@ -391,12 +407,11 @@ TEST(Tracing, DecisionHopClosesChain) {
   // 1's) monitoring feed.
   const telemetry::Registry& server_tm = tc.cluster->host(0).telemetry();
   std::uint64_t decided_id = 0;
-  for (std::size_t i = 0; i < server_tm.hop_count(); ++i) {
-    const telemetry::Hop& hop = server_tm.hop(i);
+  server_tm.hops().for_each([&decided_id](const telemetry::Hop& hop) {
     if (hop.stage == HopStage::kDecision && hop.origin == 1) {
       decided_id = hop.trace_id;
     }
-  }
+  });
   ASSERT_NE(decided_id, 0u);
   EXPECT_EQ(decided_id >> 32, 1u);  // minted by the client's d-mon
 

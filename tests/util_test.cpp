@@ -293,6 +293,30 @@ TEST(RingBuffer, Clear) {
   EXPECT_TRUE(ring.empty());
 }
 
+TEST(RingBuffer, CountsOverwritesUntilCleared) {
+  RingBuffer<int> ring{2};
+  for (int i = 0; i < 5; ++i) ring.push(i);
+  EXPECT_EQ(ring.dropped(), 3u);
+  EXPECT_EQ(ring.front(), 3);
+  ring.clear();
+  EXPECT_EQ(ring.dropped(), 0u);
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 2u);
+  ring.push(9);
+  EXPECT_EQ(ring.front(), 9);
+}
+
+TEST(RingBuffer, DefaultConstructedIsUnsizedUntilAssigned) {
+  RingBuffer<int> ring;
+  EXPECT_EQ(ring.capacity(), 0u);
+  EXPECT_TRUE(ring.empty());
+  ring = RingBuffer<int>{3};
+  ring.reserve();
+  ring.push(7);
+  EXPECT_EQ(ring.capacity(), 3u);
+  EXPECT_EQ(ring.front(), 7);
+}
+
 // --- status / result ----------------------------------------------------
 
 TEST(Status, OkByDefault) {
