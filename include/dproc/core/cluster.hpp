@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dproc/core/dmon.hpp"
+#include "dproc/core/hierarchy.hpp"
 #include "dproc/host/host.hpp"
 #include "dproc/kecho/node.hpp"
 #include "dproc/kecho/registry.hpp"
@@ -61,23 +62,24 @@ struct ClusterConfig {
   /// attributing per-node packet sends/delivers/drops. Off by default: the
   /// golden trace and the baseline benchmarks are byte-identical without it.
   bool self_monitor = false;
+  // Every d-mon reads trace, batch, adapt, hierarchy, health and sketch
+  // from the builder's copy of this config; they are set nowhere else.
   /// Causal tracing + staleness SLO watchdog: enables every host's hop log
   /// and makes every d-mon publish trace contexts on the wire. Off by
-  /// default for the same byte-identity reason as self_monitor. Copied
-  /// into DmonConfig::trace for every d-mon the builder creates.
+  /// default for the same byte-identity reason as self_monitor.
   TraceConfig trace{};
   /// Batched per-period publishing, delta suppression and interest-scoped
-  /// fan-out. Off by default for the same byte-identity reason. Copied
-  /// into DmonConfig::batch for every d-mon the builder creates.
+  /// fan-out. Off by default for the same byte-identity reason.
   BatchConfig batch{};
   /// Self-adapting monitoring periods under an overhead budget. Off by
-  /// default for the same byte-identity reason. Copied into
-  /// DmonConfig::adapt for every d-mon the builder creates.
+  /// default for the same byte-identity reason. Regions are built from the
+  /// modules registered before start(); later registrations keep their
+  /// static periods.
   AdaptConfig adapt{};
   /// Hierarchical aggregation overlay: zone aggregators, roll-up
   /// republish, drill-down. Off by default for the same byte-identity
   /// reason. The builder constructs one HierarchyLayout for the cluster
-  /// and shares it with every d-mon. With the overlay on, peer declaration
+  /// and hands it to every d-mon. With the overlay on, peer declaration
   /// is zone-scoped (each node pre-declares only its zone mates; everyone
   /// else is learned lazily) instead of all-pairs.
   HierarchyConfig hierarchy{};
@@ -90,14 +92,12 @@ struct ClusterConfig {
   /// Cluster health engine: per-metric history rings, a per-node health
   /// score published as dproc_health_* metrics, and triggered incident
   /// bundles. Off by default for the same byte-identity reason. Implies
-  /// self_monitor (the score is computed from telemetry counters). Copied
-  /// into DmonConfig::health for every d-mon the builder creates.
+  /// self_monitor (the score is computed from telemetry counters).
   HealthConfig health{};
   /// Sketch-backed TOP_K monitoring: appends a constant-space per-PID
   /// heavy-hitter module on every dproc node and lets deployed filters use
   /// the sketch builtins (topk/topkid/cmlookup/skmerge). Off by default
-  /// for the same byte-identity reason. Copied into DmonConfig::sketch for
-  /// every d-mon the builder creates.
+  /// for the same byte-identity reason.
   SketchConfig sketch{};
 };
 
@@ -184,7 +184,10 @@ class Cluster {
 
  private:
   sim::Engine& engine_;
-  ClusterConfig config_;
+  ClusterConfig config_;  // every d-mon reads its features from here
+  /// The zone tree, when the overlay is on. Declared before nodes_ so it
+  /// outlives every d-mon that points at it.
+  std::optional<HierarchyLayout> layout_;
   std::unique_ptr<net::Fabric> fabric_;
   std::unique_ptr<kecho::RegistryServer> registry_;  // single-server mode
   /// Replica r on node r (replicated mode; registry_ is null then).

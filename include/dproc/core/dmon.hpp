@@ -12,18 +12,18 @@
 //    publisher (including dynamic filter compilation);
 //  * exposes everything through procfs, including a `control` file per
 //    remote node used to deploy parameters and filters there.
+// With a zone layout, publication goes through the d-mon's private zone
+// overlay (src/core/overlay.hpp) instead of the flat monitoring channel.
 #pragma once
 
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "dproc/core/adapt.hpp"
 #include "dproc/core/health.hpp"
-#include "dproc/core/hierarchy.hpp"
 #include "dproc/core/monitors.hpp"
 #include "dproc/core/tuning.hpp"
 #include "dproc/kecho/node.hpp"
@@ -112,6 +112,9 @@ struct SketchConfig {
   double zipf_s = 1.2;
 };
 
+/// The d-mon's own cadence, channels and cost model. The opt-in features
+/// (trace, batch, adapt, hierarchy, health, sketch) are set once, on
+/// ClusterConfig, and every d-mon reads them from there.
 struct DmonConfig {
   SimDuration poll_period = seconds(1.0);
   std::string monitor_channel = "dproc.monitor";
@@ -120,28 +123,10 @@ struct DmonConfig {
   /// A peer's feed is flagged stale after this many poll periods without a
   /// monitoring update (graceful degradation under churn and partitions).
   int stale_after_periods = 3;
-  /// Causal tracing + staleness SLO watchdog (off by default).
-  TraceConfig trace{};
-  /// Batched publishing, delta suppression, interest fan-out (off by
-  /// default).
-  BatchConfig batch{};
-  /// Self-adapting periods under an overhead budget (off by default; see
-  /// adapt.hpp). Regions are built from the modules registered before
-  /// start(); later registrations keep their static periods.
-  AdaptConfig adapt{};
-  /// Hierarchical aggregation overlay (off by default; see hierarchy.hpp).
-  HierarchyConfig hierarchy{};
-  /// Health engine: history rings, health score, incident bundles (off by
-  /// default; see health.hpp). Requires host telemetry to be meaningful —
-  /// the cluster builder normalizes health.enabled => self_monitor.
-  HealthConfig health{};
-  /// The cluster-wide zone layout, built once (build_hierarchy) and shared
-  /// by every d-mon so they all derive identical election answers. Required
-  /// when hierarchy.enabled; ignored otherwise.
-  std::shared_ptr<const HierarchyLayout> hierarchy_layout;
-  /// Sketch-backed top-k filter support (off by default; see SketchConfig).
-  SketchConfig sketch{};
 };
+
+struct ClusterConfig;  // cluster.hpp
+class HierarchyLayout;  // hierarchy.hpp
 
 /// Degradation state of one peer's monitoring feed, derived from update
 /// recency and KECho membership events:
@@ -194,8 +179,11 @@ std::size_t group_by_range(const std::vector<MetricSample>& sorted,
 
 class DMon {
  public:
+  /// `config` is the cluster builder's copy and outlives the d-mon; `layout`
+  /// is the cluster-wide zone tree when the overlay is on, null when flat.
   DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
-       procfs::ProcFs& procfs, DmonConfig config = {});
+       procfs::ProcFs& procfs, const ClusterConfig& config,
+       const HierarchyLayout* layout);
   ~DMon();
   DMon(const DMon&) = delete;
   DMon& operator=(const DMon&) = delete;
@@ -300,22 +288,16 @@ class DMon {
   }
 
   /// The period-adaptation controller; nullptr until start() with
-  /// DmonConfig::adapt.enabled.
+  /// ClusterConfig::adapt.enabled.
   [[nodiscard]] PeriodController* adaptation() { return adapter_.get(); }
   [[nodiscard]] const PeriodController* adaptation() const {
     return adapter_.get();
   }
 
-  /// The health engine; nullptr unless DmonConfig::health.enabled.
+  /// The health engine; nullptr unless ClusterConfig::health.enabled.
   [[nodiscard]] HealthEngine* health_engine() { return health_.get(); }
   [[nodiscard]] const HealthEngine* health_engine() const {
     return health_.get();
-  }
-
-  /// The sketch host deployed filters read; nullptr until a TopKMonitor is
-  /// registered with DmonConfig::sketch.enabled.
-  [[nodiscard]] FilterSketchBridge* sketch_bridge() {
-    return sketch_bridge_.get();
   }
 
   /// Health-score trust verdict on a peer: false when the peer's published
@@ -336,29 +318,21 @@ class DMon {
   /// through /proc/dproc/interest ("all" clears).
   Status declare_interest(std::vector<std::string> modules);
 
-  /// This node's current interest declaration (empty = everything).
-  [[nodiscard]] const std::vector<std::string>& local_interest() const {
-    return local_interest_;
-  }
-
   /// Publisher-side view: interest sets peers have declared to us.
   [[nodiscard]] const std::map<net::NodeId, std::vector<std::string>>&
   peer_interests() const {
     return peer_interests_;
   }
 
-  // --- hierarchical aggregation overlay ----------------------------------
+  // --- zone overlay (forwarders to the private overlay) -------------------
 
-  /// True when this node runs the zone overlay (enabled config + layout,
-  /// after start()).
-  [[nodiscard]] bool hierarchy_active() const { return hier_; }
+  /// True when this node runs the zone overlay (layout set, after start()).
+  [[nodiscard]] bool hierarchy_active() const;
 
   /// Latest root summary this node received (or built, at the acting
   /// root); nullptr before the first summary or with the overlay off.
-  [[nodiscard]] const net::AggregateBatch* cluster_summary() const {
-    return summary_valid_ ? &summary_ : nullptr;
-  }
-  [[nodiscard]] SimTime cluster_summary_at() const { return summary_at_; }
+  [[nodiscard]] const net::AggregateBatch* cluster_summary() const;
+  [[nodiscard]] SimTime cluster_summary_at() const;
 
   /// The acting aggregator this node currently derives for a zone: the
   /// first election candidate not believed dead by the local membership
@@ -372,10 +346,6 @@ class DMon {
   /// aggregators drill_ttl_periods after the last refresh — so a crashed
   /// requester's drill ages out on its own. Requires summary membership.
   Status drill_down(net::NodeId target, bool enable);
-  /// Targets this node is currently drilling into (requester side).
-  [[nodiscard]] const std::set<net::NodeId>& drill_targets() const {
-    return local_drills_;
-  }
 
   // --- error / savings accounting (read from the host registry) ---------
 
@@ -398,6 +368,10 @@ class DMon {
   }
 
  private:
+  /// The zone overlay (overlay.hpp): zone duties, roll-ups, drill-down and
+  /// the election view. Built by start() when a layout is set.
+  class Overlay;
+
   struct ModuleEntry {
     std::unique_ptr<MonitoringModule> module;
     MetricId first_id = 0;
@@ -417,24 +391,9 @@ class DMon {
     PeerState last_state = PeerState::kLive;
   };
 
-  /// Per-zone aggregator duty: roll-up state, channel handles and
-  /// drill-down routing of one zone this node is an election candidate
-  /// for. Every node has at least its leaf-zone duty (leaf candidates are
-  /// the zone members); standby candidates keep the state warm so failover
-  /// needs no handoff protocol.
-  struct ZoneDuty {
-    const HierarchyZone* zone = nullptr;
-    ZoneRollup rollup;
-    kecho::Channel* channel = nullptr;         // channel(zone)
-    kecho::Channel* parent_channel = nullptr;  // channel(parent)/summary
-    /// Drill-down routing state: target -> (requester -> expiry).
-    std::map<net::NodeId, std::map<net::NodeId, SimTime>> drills;
-    /// Latest aggregate this node built for the zone (procfs rendering).
-    net::AggregateBatch last_built;
-    SimTime last_built_at;
-    bool last_built_valid = false;
-  };
-
+  void join_monitor_channel();
+  void join_control_channel();
+  void warn_malformed(const char* what, const kecho::Event& event) const;
   void on_monitor_event(const kecho::Event& event);
   void on_control_event(const kecho::Event& event);
   /// Stores a peer's interest declaration (control-channel kOpInterest).
@@ -450,41 +409,18 @@ class DMon {
   /// and the record; false when nothing survives (no frame goes out).
   bool build_publish_batch(std::vector<MetricSample>& sorted,
                            PollRecord& record, net::MonitorBatch& batch);
+  /// Counts one published batch frame.
+  void count_batch(const net::MonitorBatch& batch, const PollRecord& record);
 
-  // --- hierarchy ---------------------------------------------------------
-  /// Joins zone channels, installs handlers and registers the overlay's
-  /// procfs files, per this node's duties in the shared layout.
-  void start_hierarchy();
-  kecho::Channel* join_zone_channel(std::uint32_t zone_id);
-  [[nodiscard]] ZoneDuty* duty_of(std::uint32_t zone_id);
-  [[nodiscard]] bool hier_alive(std::size_t node) const;
-  void on_zone_event(std::uint32_t zone_id, const kecho::Event& event);
-  /// Leaf publication into the zone aggregator — a single-member submit,
-  /// or a local fold (no wire frame) when this node is itself acting.
-  void submit_hier(std::vector<MetricSample>& sorted, PollRecord& record);
-  /// Aggregator duty: builds and republishes every acting zone's roll-up
-  /// to the parent tier (the root's goes to the summary channel).
-  void publish_rollups(PollRecord& record);
-  /// Records a drill subscription on `duty` and propagates it down the
-  /// tree (wire to remote child candidates, directly to own child duties).
-  void apply_drill(ZoneDuty& duty, net::NodeId requester, net::NodeId target,
-                   bool enable, SimTime expiry);
-  /// Requester side: (re-)announces a drill on the summary channel and
-  /// applies it locally when this node is itself a root candidate.
-  void send_drill_request(net::NodeId target, bool enable);
-  /// Forwards a drilled origin's raw batch one hop up the acting chain,
-  /// or to the requesters at the root.
-  void send_drill_up(ZoneDuty& duty, net::NodeId origin,
-                     const net::MessagePtr& frame, PollRecord* record);
-  /// Leaf capture: wraps `batch` as drill data if `origin` is drilled.
-  void maybe_forward_drill(ZoneDuty& leaf_duty, net::NodeId origin,
-                           const net::MonitorBatch& batch, PollRecord* record);
-  void prune_drills(SimTime now);
-  void register_hier_files();
-  /// Looks up (or lazily declares, from the fabric name table) a peer.
-  Peer& ensure_peer(net::NodeId origin);
+  /// Looks up (or lazily declares, from the fabric name table) a peer and
+  /// marks it alive: any event is a sign of life, so the staleness clock
+  /// restarts and a possibly spurious eviction is cleared.
+  Peer& touch_peer(net::NodeId origin);
   void apply_batch_to_peer(Peer& peer, const net::MonitorBatch& batch,
                            std::uint64_t trace_id);
+  /// Charges one received event's procfs update to the kernel and to this
+  /// poll's receive cost.
+  void charge_receive();
   /// Re-sends the local interest declaration (no-op before the control
   /// channel is ready; errors are ignored — the next join retries).
   void broadcast_interest();
@@ -498,8 +434,13 @@ class DMon {
   void note_render(const kecho::Event& event, const std::string& slo_channel,
                    Peer* peer);
   void on_membership(kecho::MemberEventKind kind, net::NodeId node);
+  /// How long a silent feed stays live: stale_after_periods poll periods.
+  [[nodiscard]] SimDuration stale_horizon() const;
   [[nodiscard]] PeerState state_of(const Peer& peer) const;
   void register_local_files(const ModuleEntry& entry);
+  /// /proc/cluster/<name>/<metric path> for one declared peer.
+  void register_peer_file(net::NodeId node, const std::string& name,
+                          const MetricDesc& desc);
   void rebuild_tuning();
   void charge(double cycles);
   /// Tail of every poll(): accumulates this poll's kernel cost into the
@@ -515,7 +456,9 @@ class DMon {
   net::Nic& nic_;
   kecho::Node& kecho_;
   procfs::ProcFs& procfs_;
-  DmonConfig config_;
+  const ClusterConfig& config_;
+  const HierarchyLayout* layout_;  // null: flat
+  std::unique_ptr<Overlay> overlay_;
 
   std::vector<ModuleEntry> modules_;
   std::vector<MetricDesc> metric_table_;
@@ -526,16 +469,17 @@ class DMon {
   std::map<net::NodeId, Peer> peers_;
 
   /// Bridge from the first TopKMonitor's sketch to the filter VM
-  /// (DmonConfig::sketch; additional TopKMonitors register as auxiliaries).
+  /// (ClusterConfig::sketch; additional TopKMonitors register as
+  /// auxiliaries).
   std::unique_ptr<FilterSketchBridge> sketch_bridge_;
 
-  // --- health engine (DmonConfig::health; see health.hpp) ----------------
+  // --- health engine (ClusterConfig::health; see health.hpp) -------------
   std::unique_ptr<HealthEngine> health_;
   /// Cached metric id of the peers' published health score (resolved on
   /// first use; nullopt until DPROC_MON registers with health metrics).
   mutable std::optional<MetricId> health_score_id_;
 
-  // --- period adaptation (DmonConfig::adapt; see adapt.hpp) --------------
+  // --- period adaptation (ClusterConfig::adapt; see adapt.hpp) -----------
   std::unique_ptr<PeriodController> adapter_;
   int adapt_poll_count_ = 0;            // polls since the last round
   SimDuration adapt_window_cost_{0};    // kernel cost over those polls
@@ -572,41 +516,12 @@ class DMon {
 
   // --- receive/encode scratch, reused across periods so the steady state
   // --- allocates nothing (see perf_regression_test) ----------------------
-  net::MonitorBatch rx_batch_;        // on_monitor_event / on_zone_event
+  net::MonitorBatch rx_batch_;        // incoming raw feeds (both halves)
   net::MonitorBatch batch_scratch_;   // this period's outgoing batch
   net::MonitorBatch filtered_scratch_;  // interest-filtered variant
-  net::AggregateBatch agg_scratch_;   // outgoing roll-up
-  net::AggregateBatch agg_rx_;        // incoming roll-up
   /// Per-distinct-interest-set frame cache (cleared, capacity kept).
   std::vector<std::pair<const std::vector<std::string>*, net::MessagePtr>>
       interest_cache_;
-
-  // --- hierarchy state ---------------------------------------------------
-  bool hier_ = false;
-  const HierarchyZone* leaf_zone_ = nullptr;
-  std::vector<ZoneDuty> duties_;  // leaf duty first
-  std::map<std::uint32_t, kecho::Channel*> zone_channels_;
-  /// Nodes this d-mon believes dead (membership evictions/leaves) — the
-  /// local view the deterministic election runs against.
-  std::set<std::size_t> hier_dead_;
-  std::set<net::NodeId> local_drills_;  // requester-side drill targets
-  net::AggregateBatch summary_;         // latest root summary
-  SimTime summary_at_;
-  bool summary_valid_ = false;
-  bool hier_files_registered_ = false;
-
-  /// Per-tier overlay telemetry (indexed by the publishing zone's tier),
-  /// resolved when the overlay starts.
-  struct TierTelemetry {
-    telemetry::Counter* tx_events = nullptr;
-    telemetry::Counter* tx_bytes = nullptr;
-    telemetry::Counter* rx_events = nullptr;
-    telemetry::Counter* rx_bytes = nullptr;
-  };
-  std::vector<TierTelemetry> tm_tier_;
-  telemetry::Counter* tm_hier_rollups_ = nullptr;
-  telemetry::Counter* tm_hier_drill_req_ = nullptr;
-  telemetry::Counter* tm_hier_drill_data_ = nullptr;
 
   std::vector<SampleObserver> sample_observers_;
   PollRecord last_poll_;

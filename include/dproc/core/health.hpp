@@ -77,9 +77,6 @@ struct HealthConfig {
   /// A trigger landing within this window of the last open incident is
   /// absorbed as a symptom of it instead of opening a duplicate.
   SimDuration dedup_window = seconds(2.0);
-  /// Extra watchdog rules, appended to the defaults (one per failure
-  /// series, min_delta 1, window 1).
-  std::vector<WatchdogRule> watchdogs;
 };
 
 /// The last K windowed deltas of one series, allocated when the engine is

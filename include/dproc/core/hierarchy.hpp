@@ -12,8 +12,9 @@
 // membership view — no election protocol on the wire.
 //
 // This header holds the pure parts — the layout builder and the roll-up
-// state machines — so they are unit-testable without a cluster; the d-mon
-// wires them to channels, procfs and the drill-down protocol.
+// state machines — so they are unit-testable without a cluster; the d-mon's
+// private overlay (src/core/overlay.hpp) wires them to channels, procfs and
+// the drill-down protocol.
 #pragma once
 
 #include <cstdint>
@@ -28,9 +29,8 @@
 
 namespace dproc::core {
 
-/// Which statistics a zone's AggregateBatch entries carry. Selectable per
-/// channel (see HierarchyConfig::channel_rollup); count and the newest
-/// sample time always ride.
+/// Which statistics a zone's AggregateBatch entries carry; one spec serves
+/// every zone. Count and the newest sample time always ride.
 struct RollupSpec {
   bool min = true;
   bool max = true;
@@ -62,10 +62,8 @@ struct HierarchyConfig {
   /// Child zones per upper-tier group; tiers are added until one root
   /// zone covers the cluster.
   std::size_t fanout = 8;
-  /// Statistics rolled up by default on every zone channel.
+  /// Statistics rolled up on every zone channel.
   RollupSpec rollup{};
-  /// Per-zone-channel overrides, keyed by zone name ("t1.z0", ...).
-  std::vector<std::pair<std::string, RollupSpec>> channel_rollup;
   /// A drill-down subscription expires this many poll periods after its
   /// last refresh (the requester re-sends every poll while active).
   int drill_ttl_periods = 30;
@@ -77,13 +75,6 @@ struct HierarchyConfig {
   /// feeds). Benches at thousands of nodes turn this off; peers are then
   /// learned lazily from the first raw batch an aggregator receives.
   bool declare_zone_peers = true;
-
-  [[nodiscard]] const RollupSpec& rollup_for(const std::string& zone) const {
-    for (const auto& [name, spec] : channel_rollup) {
-      if (name == zone) return spec;
-    }
-    return rollup;
-  }
 };
 
 /// One zone of the overlay. Leaf zones (tier 0) own consecutive node
@@ -161,9 +152,6 @@ class ZoneRollup {
   /// Leaf tier: latest value per (origin, metric id).
   void update_origin(std::uint32_t origin, const net::MonitorBatch& batch,
                      SimTime now);
-  /// Convenience for the aggregator's own samples (no wire frame).
-  void update_origin_sample(std::uint32_t origin, std::uint32_t id,
-                            double value, std::int64_t sampled_ns, SimTime now);
   /// Upper tiers: latest AggregateBatch per child zone.
   void update_child(const net::AggregateBatch& batch, SimTime now);
   /// Forgets one origin (leaf tier, after an eviction).

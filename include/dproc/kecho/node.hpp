@@ -268,9 +268,9 @@ class Node {
   using LookupCallback = std::function<void(const JoinResponse&)>;
   void lookup_members(const std::string& name, LookupCallback callback);
 
-  [[nodiscard]] const ClientCacheStats& cache_stats() const {
-    return cache_stats_;
-  }
+  /// Hits, misses and invalidations are read from the registry/cache_*
+  /// counters.
+  [[nodiscard]] ClientCacheStats cache_stats() const;
 
   /// Observes membership changes this node learns about (its own joins
   /// excluded): a new peer, a graceful leave, an eviction. Fired once per
@@ -430,7 +430,8 @@ class Node {
   };
   std::map<std::string, PendingLookup> pending_lookups_;
   std::uint64_t lookup_rr_ = 0;  // read fan-out across replicas
-  ClientCacheStats cache_stats_;
+  std::uint64_t cache_expiries_ = 0;
+  std::int64_t max_served_staleness_ns_ = 0;
   bool crashed_ = false;
 
   /// Instruments resolved once from the host registry at construction.

@@ -166,15 +166,23 @@ struct MonitorBatch {
   }
 
   /// Decodes one batch; false (and reader !ok where truncated) on any
-  /// malformation. The declared count is checked against the bytes actually
-  /// present *before* reserving, so a corrupted count can neither trigger a
-  /// huge allocation nor yield a partially decoded batch.
+  /// malformation.
   [[nodiscard]] static bool decode(ByteReader& r, MonitorBatch& out) {
     const std::uint8_t version = r.u8();
     out.flags = r.u8();
-    const std::uint32_t count = r.u32();
     if (!r.ok() || version == 0 || version > kVersion) return false;
-    if (r.remaining() < static_cast<std::size_t>(count) * kEntryBytes) {
+    return decode_entries(r, out);
+  }
+
+  /// Decodes the `count | count × entry` tail into `out.entries`; the
+  /// legacy per-module monitoring frame carries the same tail after its
+  /// opcode. The declared count is checked against the bytes actually
+  /// present *before* reserving, so a corrupted count can neither trigger a
+  /// huge allocation nor yield a partially decoded batch.
+  [[nodiscard]] static bool decode_entries(ByteReader& r, MonitorBatch& out) {
+    const std::uint32_t count = r.u32();
+    if (!r.ok() ||
+        r.remaining() < static_cast<std::size_t>(count) * kEntryBytes) {
       return false;
     }
     out.entries.clear();

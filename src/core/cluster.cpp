@@ -148,14 +148,13 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
     for (std::size_t i : *config_.dproc_nodes) runs_dproc.at(i) = true;
   }
 
-  // One layout shared by every d-mon: the zone tree is a pure function of
+  // One layout for every d-mon: the zone tree is a pure function of
   // (node_count, hierarchy config), so all nodes agree on it without a
-  // topology protocol.
-  std::shared_ptr<const HierarchyLayout> hierarchy_layout;
+  // topology protocol, and every node is inside it.
   if (config_.hierarchy.enabled) {
-    hierarchy_layout = std::make_shared<const HierarchyLayout>(
-        build_hierarchy(config_.node_count, config_.hierarchy));
+    layout_ = build_hierarchy(config_.node_count, config_.hierarchy);
   }
+  const HierarchyLayout* layout = layout_ ? &*layout_ : nullptr;
 
   kecho::RegistryClientConfig registry_client;
   if (config_.registry.enabled) {
@@ -170,18 +169,8 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
         *node.host, *node.nic, node_ids[0], kecho::RegistryServer::kDefaultPort,
         kecho::KechoCosts{}, config_.liveness, registry_client);
     if (!runs_dproc[i]) continue;
-    DmonConfig dmon_config = config_.dmon;
-    if (config_.trace.enabled) dmon_config.trace = config_.trace;
-    if (config_.batch.enabled) dmon_config.batch = config_.batch;
-    if (config_.adapt.enabled) dmon_config.adapt = config_.adapt;
-    if (config_.hierarchy.enabled) {
-      dmon_config.hierarchy = config_.hierarchy;
-      dmon_config.hierarchy_layout = hierarchy_layout;
-    }
-    if (config_.health.enabled) dmon_config.health = config_.health;
-    if (config_.sketch.enabled) dmon_config.sketch = config_.sketch;
     node.dmon = std::make_unique<DMon>(*node.host, *node.nic, *node.kecho,
-                                       *node.procfs, std::move(dmon_config));
+                                       *node.procfs, config_, layout);
     if (config_.module_factory) {
       config_.module_factory(*node.dmon, *node.host, *node.nic);
     } else {
@@ -211,14 +200,12 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
   // nothing when declare_zone_peers is off); everyone else is learned
   // lazily from the fabric name table on first contact, keeping per-node
   // state O(zone) at 4096-node scale.
-  if (config_.hierarchy.enabled) {
-    if (config_.hierarchy.declare_zone_peers && hierarchy_layout) {
+  if (layout != nullptr) {
+    if (config_.hierarchy.declare_zone_peers) {
       for (std::size_t i = 0; i < config_.node_count; ++i) {
         if (!nodes_[i].dmon) continue;
-        if (i >= hierarchy_layout->node_count()) continue;
-        const HierarchyZone& leaf = hierarchy_layout->leaf_of(i);
-        for (std::size_t j : leaf.members) {
-          if (i == j || j >= node_ids.size()) continue;
+        for (std::size_t j : layout->leaf_of(i).members) {
+          if (i == j) continue;
           nodes_[i].dmon->add_peer(node_ids[j],
                                    fabric_->node_name(node_ids[j]));
         }

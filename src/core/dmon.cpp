@@ -5,22 +5,15 @@
 #include <iomanip>
 #include <sstream>
 
+#include "dproc/core/cluster.hpp"
 #include "dproc/net/fabric.hpp"
 #include "dproc/net/wire.hpp"
 #include "dproc/util/logging.hpp"
+#include "overlay.hpp"
 
 namespace dproc::core {
 
 namespace {
-
-constexpr std::uint8_t kOpMonitor = 1;
-constexpr std::uint8_t kOpControl = 2;
-constexpr std::uint8_t kOpMonitorBatch = 3;
-constexpr std::uint8_t kOpInterest = 4;
-// Hierarchical overlay (wire only when HierarchyConfig::enabled):
-constexpr std::uint8_t kOpAggregate = 5;     // zone roll-up, tier-up
-constexpr std::uint8_t kOpDrillRequest = 6;  // drill subscription, tier-down
-constexpr std::uint8_t kOpDrillData = 7;     // drilled raw batch, tier-up
 
 // Fixed KECho frame header (channel, source, submit time, payload length):
 // the extra wire bytes an interest-skipped member never receives, on top of
@@ -37,82 +30,6 @@ net::MessagePtr encode_monitor_event(const std::vector<MetricSample>& samples) {
     w.i64(s.sampled_at.ns());
   }
   return net::make_message(w.take());
-}
-
-net::MessagePtr encode_batch_event(const net::MonitorBatch& batch) {
-  net::ByteWriter w;
-  w.reserve(1 + batch.encoded_bytes());
-  w.u8(kOpMonitorBatch);
-  batch.encode(w);
-  return net::make_message(w.take());
-}
-
-net::MessagePtr encode_aggregate_event(const net::AggregateBatch& batch) {
-  net::ByteWriter w;
-  w.reserve(1 + batch.encoded_bytes());
-  w.u8(kOpAggregate);
-  batch.encode(w);
-  return net::make_message(w.take());
-}
-
-net::MessagePtr encode_drill_request(net::NodeId requester, net::NodeId target,
-                                     bool enable, std::uint32_t ttl_periods) {
-  net::ByteWriter w;
-  w.u8(kOpDrillRequest);
-  w.u32(requester);
-  w.u32(target);
-  w.u8(enable ? 1 : 0);
-  w.u32(ttl_periods);
-  return net::make_message(w.take());
-}
-
-net::MessagePtr encode_drill_data(net::NodeId origin,
-                                  const net::MonitorBatch& batch) {
-  net::ByteWriter w;
-  w.reserve(1 + 4 + batch.encoded_bytes());
-  w.u8(kOpDrillData);
-  w.u32(origin);
-  batch.encode(w);
-  return net::make_message(w.take());
-}
-
-/// Renders one metric's roll-up from an AggregateBatch for procfs (the
-/// zone-summary and cluster-rollup files).
-std::string render_aggregate_entry(const net::AggregateBatch& batch,
-                                   MetricId id, SimTime now, SimTime built_at,
-                                   const net::Fabric* fabric) {
-  const net::AggregateBatch::Entry* entry = nullptr;
-  for (const net::AggregateBatch::Entry& e : batch.entries) {
-    if (e.id == id) {
-      entry = &e;
-      break;
-    }
-  }
-  if (entry == nullptr) return "no data\n";
-  std::ostringstream out;
-  out << std::setprecision(12);
-  out << "count " << entry->count << "\n";
-  if (batch.has(net::AggregateBatch::kFlagMean) && entry->count > 0) {
-    out << "mean " << (entry->sum / static_cast<double>(entry->count)) << "\n";
-  }
-  if (batch.has(net::AggregateBatch::kFlagMin)) {
-    out << "min " << entry->min << "\n";
-  }
-  if (batch.has(net::AggregateBatch::kFlagMax)) {
-    out << "max " << entry->max << "\n";
-  }
-  out << "latest_age_s " << (now - SimTime{entry->latest_ns}).sec() << "\n"
-      << "built_age_s " << (now - built_at).sec() << "\n";
-  for (const net::AggregateBatch::Top& top : entry->top) {
-    out << "top ";
-    if (fabric != nullptr && top.node < fabric->node_count()) {
-      out << fabric->node_name(top.node);
-    } else {
-      out << top.node;
-    }
-    out << " " << top.value << "\n";
-  }
-  return out.str();
 }
 
 net::MessagePtr encode_control_event(net::NodeId target,
@@ -185,9 +102,10 @@ const char* to_string(PeerState state) {
 }
 
 DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
-           procfs::ProcFs& procfs, DmonConfig config)
-    : host_(host), nic_(nic), kecho_(kecho), procfs_(procfs),
-      config_(std::move(config)),
+           procfs::ProcFs& procfs, const ClusterConfig& config,
+           const HierarchyLayout* layout)
+    : host_(host), nic_(nic), kecho_(kecho), procfs_(procfs), config_(config),
+      layout_(layout),
       tm_polls_(host.telemetry().counter("dmon", "polls")),
       tm_events_submitted_(host.telemetry().counter("dmon", "events_submitted")),
       tm_events_received_(host.telemetry().counter("dmon", "events_received")),
@@ -235,7 +153,7 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
   procfs_.register_file("/proc/dproc/status", [this] {
     std::ostringstream out;
     out << "node " << nic_.node() << " (" << host_.name() << ")\n"
-        << "poll_period " << to_string(config_.poll_period) << "\n"
+        << "poll_period " << to_string(config_.dmon.poll_period) << "\n"
         << "modules " << modules_.size() << "\n"
         << "metrics " << metric_table_.size() << "\n"
         << "last_submit_cost_us " << last_poll_.submit_cost.us() << "\n"
@@ -368,7 +286,8 @@ void DMon::charge(double cycles) {
 }
 
 void DMon::rebuild_tuning() {
-  tuning_ = std::make_unique<PublisherTuning>(config_.poll_period, metric_ids_);
+  tuning_ =
+      std::make_unique<PublisherTuning>(config_.dmon.poll_period, metric_ids_);
   tuning_->enable_sketch_builtins(config_.sketch.enabled);
   tuning_->set_sketch_host(sketch_bridge_.get());
 }
@@ -412,21 +331,24 @@ void DMon::register_module(std::unique_ptr<MonitoringModule> module) {
   // Peers declared before this module gained metrics: create their files.
   for (auto& [node, peer] : peers_) {
     peer.metrics.resize(metric_table_.size());
-    for (std::size_t i = entry.first_id; i < metric_table_.size(); ++i) {
-      const MetricDesc& desc = metric_table_[i];
-      const net::NodeId node_copy = node;
-      const MetricId id = desc.id;
-      procfs_.register_file(
-          "/proc/cluster/" + peer.name + "/" + desc.path, [this, node_copy, id] {
-            auto it = peers_.find(node_copy);
-            if (it == peers_.end() || id >= it->second.metrics.size()) {
-              return std::string{"no data\n"};
-            }
-            return render_value(it->second.metrics[id], host_.engine().now(),
-                                state_of(it->second));
-          });
+    for (std::size_t i = added.first_id; i < metric_table_.size(); ++i) {
+      register_peer_file(node, peer.name, metric_table_[i]);
     }
   }
+}
+
+void DMon::register_peer_file(net::NodeId node, const std::string& name,
+                              const MetricDesc& desc) {
+  const MetricId id = desc.id;
+  procfs_.register_file(
+      "/proc/cluster/" + name + "/" + desc.path, [this, node, id] {
+        auto it = peers_.find(node);
+        if (it == peers_.end() || id >= it->second.metrics.size()) {
+          return std::string{"no data\n"};
+        }
+        return render_value(it->second.metrics[id], host_.engine().now(),
+                            state_of(it->second));
+      });
 }
 
 void DMon::register_local_files(const ModuleEntry& entry) {
@@ -449,16 +371,7 @@ void DMon::add_peer(net::NodeId node, const std::string& name) {
   peer.metrics.resize(metric_table_.size());
   if (created) peer.declared_at = host_.engine().now();
   for (const MetricDesc& desc : metric_table_) {
-    const MetricId id = desc.id;
-    procfs_.register_file(
-        "/proc/cluster/" + name + "/" + desc.path, [this, node, id] {
-          auto peer_it = peers_.find(node);
-          if (peer_it == peers_.end() || id >= peer_it->second.metrics.size()) {
-            return std::string{"no data\n"};
-          }
-          return render_value(peer_it->second.metrics[id],
-                              host_.engine().now(), state_of(peer_it->second));
-        });
+    register_peer_file(node, name, desc);
   }
   procfs_.register_file("/proc/cluster/" + name + "/status", [this, node] {
     auto peer_it = peers_.find(node);
@@ -498,18 +411,26 @@ void DMon::start() {
                            module_ranges_[i].first, module_ranges_[i].count);
     }
   }
-  if (config_.hierarchy.enabled && config_.hierarchy_layout != nullptr) {
-    start_hierarchy();
+  if (layout_ != nullptr) {
+    overlay_ = std::make_unique<Overlay>(*this, *layout_);
   } else {
-    monitor_channel_ = &kecho_.join(config_.monitor_channel);
-    monitor_channel_->set_handler(
-        [this](const kecho::Event& event) { on_monitor_event(event); });
-    control_channel_ = &kecho_.join(config_.control_channel);
-    control_channel_->set_handler(
-        [this](const kecho::Event& event) { on_control_event(event); });
+    join_monitor_channel();
+    join_control_channel();
   }
-  poll_timer_ = host_.engine().schedule_periodic(config_.poll_period,
+  poll_timer_ = host_.engine().schedule_periodic(config_.dmon.poll_period,
                                                  [this] { poll(); });
+}
+
+void DMon::join_monitor_channel() {
+  monitor_channel_ = &kecho_.join(config_.dmon.monitor_channel);
+  monitor_channel_->set_handler(
+      [this](const kecho::Event& event) { on_monitor_event(event); });
+}
+
+void DMon::join_control_channel() {
+  control_channel_ = &kecho_.join(config_.dmon.control_channel);
+  control_channel_->set_handler(
+      [this](const kecho::Event& event) { on_control_event(event); });
 }
 
 void DMon::stop() {
@@ -529,16 +450,10 @@ void DMon::restart() {
     peer.last_slo_violation = SimTime{};
     peer.last_state = PeerState::kLive;
   }
-  // A rebooted monitor has no roll-up, drill or membership memory either;
-  // the keyframed zone feeds and drill refreshes reconverge it.
-  for (ZoneDuty& duty : duties_) {
-    duty.rollup.clear();
-    duty.drills.clear();
-    duty.last_built_valid = false;
-  }
-  hier_dead_.clear();
-  local_drills_.clear();
-  summary_valid_ = false;
+  // A rebooted monitor has no roll-up, drill or membership memory either:
+  // start() builds a fresh overlay, and the keyframed zone feeds and drill
+  // refreshes reconverge it.
+  overlay_.reset();
   // A rebooted controller has no rate memory; periods restart at base.
   if (adapter_) adapter_->reset();
   tuning_->clear_adaptive_periods();
@@ -548,13 +463,16 @@ void DMon::restart() {
   start();
 }
 
+SimDuration DMon::stale_horizon() const {
+  return config_.dmon.poll_period *
+         static_cast<double>(config_.dmon.stale_after_periods);
+}
+
 PeerState DMon::state_of(const Peer& peer) const {
   if (peer.dead) return PeerState::kDead;
-  const SimDuration horizon =
-      config_.poll_period * static_cast<double>(config_.stale_after_periods);
   const SimTime basis = peer.has_data ? peer.last_update : peer.declared_at;
-  return host_.engine().now() - basis > horizon ? PeerState::kStale
-                                                : PeerState::kLive;
+  return host_.engine().now() - basis > stale_horizon() ? PeerState::kStale
+                                                        : PeerState::kLive;
 }
 
 std::optional<PeerHealth> DMon::peer_health(net::NodeId node) const {
@@ -570,9 +488,8 @@ bool DMon::feed_within_slo(net::NodeId node) const {
   if (it == peers_.end() || !it->second.slo_violated) return true;
   // Sticky for the staleness horizon: one violation distrusts the feed
   // until a horizon's worth of in-budget updates has passed.
-  const SimDuration horizon =
-      config_.poll_period * static_cast<double>(config_.stale_after_periods);
-  return host_.engine().now() - it->second.last_slo_violation > horizon;
+  return host_.engine().now() - it->second.last_slo_violation >
+         stale_horizon();
 }
 
 PeerState DMon::peer_state(net::NodeId node) const {
@@ -628,26 +545,13 @@ void DMon::scan_peer_health(SimTime now) {
   }
   if (health_) {
     // The engine round is kernel work like any other per-poll bookkeeping.
-    charge(config_.overheads.procfs_update_cycles_per_event);
+    charge(config_.dmon.overheads.procfs_update_cycles_per_event);
     health_->on_poll(census, now);
   }
 }
 
 void DMon::on_membership(kecho::MemberEventKind kind, net::NodeId node) {
-  if (hier_) {
-    // The election's shared membership view: every candidate derives the
-    // acting aggregator from the same events, so leaves, standbys and
-    // parents converge on the same answer without a protocol.
-    if (kind == kecho::MemberEventKind::kJoined) {
-      hier_dead_.erase(node);
-    } else {
-      hier_dead_.insert(node);
-      if (kind == kecho::MemberEventKind::kLeft) {
-        // A confirmed departure's samples must not linger in the roll-up.
-        for (ZoneDuty& duty : duties_) duty.rollup.forget_origin(node);
-      }
-    }
-  }
+  if (overlay_) overlay_->on_membership(kind, node);
   if (kind == kecho::MemberEventKind::kJoined) {
     // The joiner may be a publisher that has never seen this node's
     // interest declaration (it joined after we declared, or it restarted
@@ -698,7 +602,7 @@ const RemoteMetric* DMon::remote_metric(net::NodeId node,
 }
 
 Status DMon::apply_tuning(const TuningConfig& config) {
-  charge(config_.overheads.control_apply_cycles);
+  charge(config_.dmon.overheads.control_apply_cycles);
   // Module-internal sampling windows (e.g. CPU_MON's run-queue averaging
   // period): resolve and validate every target before touching any module,
   // so a request that half-fails leaves no window already rewritten — the
@@ -731,7 +635,7 @@ Status DMon::apply_tuning(const TuningConfig& config) {
   // Compile cycles are charged only when the tuning actually compiled —
   // re-installing an unchanged source hits the compiled-program cache.
   if (tuning_->filter_compiles() > compiles_before && config.filter_source) {
-    charge(config_.overheads.filter_compile_cycles_per_byte *
+    charge(config_.dmon.overheads.filter_compile_cycles_per_byte *
            static_cast<double>(config.filter_source->size()));
     tm_filter_compiles_.add();
   }
@@ -822,14 +726,18 @@ void DMon::note_render(const kecho::Event& event,
                 << " us > " << budget.us() << " us)";
 }
 
-DMon::Peer& DMon::ensure_peer(net::NodeId origin) {
+DMon::Peer& DMon::touch_peer(net::NodeId origin) {
   auto it = peers_.find(origin);
   if (it == peers_.end()) {
     // Peer never declared: learn it from the fabric's name table.
     add_peer(origin, nic_.fabric().node_name(origin));
     it = peers_.find(origin);
   }
-  return it->second;
+  Peer& peer = it->second;
+  peer.last_update = host_.engine().now();
+  peer.has_data = true;
+  peer.dead = false;
+  return peer;
 }
 
 void DMon::apply_batch_to_peer(Peer& peer, const net::MonitorBatch& batch,
@@ -843,97 +751,39 @@ void DMon::apply_batch_to_peer(Peer& peer, const net::MonitorBatch& batch,
   }
 }
 
+void DMon::charge_receive() {
+  const double cycles = config_.dmon.overheads.procfs_update_cycles_per_event;
+  charge(cycles);
+  handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
+}
+
+void DMon::warn_malformed(const char* what, const kecho::Event& event) const {
+  DPROC_WARN() << "dmon " << nic_.node() << ": malformed " << what << " from "
+               << event.source;
+}
+
 void DMon::on_monitor_event(const kecho::Event& event) {
   net::ByteReader r{event.payload_header()};
   const std::uint8_t op = r.u8();
-  if (hier_ && op == kOpAggregate) {
-    // The root summary arriving at a subscriber (or standby root
-    // candidate, keeping its failover state warm).
-    if (!net::AggregateBatch::decode(r, agg_rx_)) {
-      DPROC_WARN() << "dmon " << nic_.node()
-                   << ": malformed aggregate event from " << event.source;
-      return;
-    }
-    summary_ = agg_rx_;
-    summary_at_ = host_.engine().now();
-    summary_valid_ = true;
-    if (agg_rx_.tier < tm_tier_.size()) {
-      tm_tier_[agg_rx_.tier].rx_events->add();
-      tm_tier_[agg_rx_.tier].rx_bytes->add(event.payload_size());
-    }
-    note_render(event, config_.monitor_channel, nullptr);
-    const double cycles = config_.overheads.procfs_update_cycles_per_event;
-    charge(cycles);
-    handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
-    return;
-  }
-  if (hier_ && op == kOpDrillRequest) {
-    // Root intake of a subscriber's drill subscription.
-    const net::NodeId requester = r.u32();
-    const net::NodeId target = r.u32();
-    const bool enable = r.u8() != 0;
-    const std::uint32_t ttl = r.u32();
-    if (!r.ok()) return;
-    if (ZoneDuty* root = duty_of(config_.hierarchy_layout->root().id)) {
-      const SimTime expiry =
-          host_.engine().now() + config_.poll_period * static_cast<double>(ttl);
-      apply_drill(*root, requester, target, enable, expiry);
-    }
-    return;
-  }
-  if (hier_ && op == kOpDrillData) {
-    // Requester receipt: the drilled node's raw feed, unflattened from the
-    // tree — apply it exactly like a direct monitoring batch.
-    const net::NodeId origin = r.u32();
-    if (!net::MonitorBatch::decode(r, rx_batch_) ||
-        origin >= nic_.fabric().node_count()) {
-      DPROC_WARN() << "dmon " << nic_.node()
-                   << ": malformed drill data from " << event.source;
-      return;
-    }
-    Peer& peer = ensure_peer(origin);
-    peer.last_update = host_.engine().now();
-    peer.has_data = true;
-    peer.dead = false;
-    apply_batch_to_peer(peer, rx_batch_, event.trace.trace_id);
-    if (tm_hier_drill_data_ != nullptr) tm_hier_drill_data_->add();
-    const double cycles = config_.overheads.procfs_update_cycles_per_event;
-    charge(cycles);
-    handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
-    return;
-  }
-  if (op != kOpMonitor && op != kOpMonitorBatch) return;
-  if (op == kOpMonitorBatch && !net::MonitorBatch::decode(r, rx_batch_)) {
-    DPROC_WARN() << "dmon " << nic_.node() << ": malformed batch event from "
-                 << event.source;
-    return;
-  }
-
-  Peer& peer = ensure_peer(event.source);
-  // Any event is a sign of life: refresh the staleness clock and clear a
-  // possibly spurious eviction.
-  peer.last_update = host_.engine().now();
-  peer.has_data = true;
-  peer.dead = false;
-
+  if (overlay_ && overlay_->on_summary_event(op, r, event)) return;
+  // Both formats carry `count | count × entry`; the batch puts a version
+  // and flags in front. Nothing is applied unless the whole frame decodes.
+  bool decoded = false;
   if (op == kOpMonitor) {
-    const std::uint32_t count = r.u32();
-    for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-      const MetricId id = r.u32();
-      const double value = r.f64();
-      const SimTime sampled{r.i64()};
-      if (id < peer.metrics.size()) {
-        peer.metrics[id] = RemoteMetric{value, sampled, host_.engine().now(),
-                                        true, event.trace.trace_id};
-      }
-    }
+    decoded = net::MonitorBatch::decode_entries(r, rx_batch_);
+  } else if (op == kOpMonitorBatch) {
+    decoded = net::MonitorBatch::decode(r, rx_batch_);
   } else {
-    apply_batch_to_peer(peer, rx_batch_, event.trace.trace_id);
+    return;
   }
-  note_render(event, config_.monitor_channel, &peer);
-  const double cycles = config_.overheads.procfs_update_cycles_per_event;
-  charge(cycles);
-  handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
+  if (!decoded) {
+    warn_malformed("monitoring event", event);
+    return;
+  }
+  Peer& peer = touch_peer(event.source);
+  apply_batch_to_peer(peer, rx_batch_, event.trace.trace_id);
+  note_render(event, config_.dmon.monitor_channel, &peer);
+  charge_receive();
 }
 
 void DMon::on_control_event(const kecho::Event& event) {
@@ -962,7 +812,7 @@ void DMon::on_control_event(const kecho::Event& event) {
   Status status = apply_tuning(config.value());
   handler_cost_ += host_.cpu().kernel_cpu_time() - before;
   // Applying a control event is its render hop: the retune became visible.
-  note_render(event, config_.control_channel, nullptr);
+  note_render(event, config_.dmon.control_channel, nullptr);
   if (!status) {
     DPROC_WARN() << "dmon " << nic_.node()
                  << ": tuning from node " << event.source
@@ -977,8 +827,7 @@ void DMon::on_interest_event(const kecho::Event& event, net::ByteReader& r) {
     modules.push_back(r.str());
   }
   if (!r.ok()) {
-    DPROC_WARN() << "dmon " << nic_.node()
-                 << ": malformed interest event from " << event.source;
+    warn_malformed("interest event", event);
     return;
   }
   std::sort(modules.begin(), modules.end());
@@ -990,10 +839,8 @@ void DMon::on_interest_event(const kecho::Event& event, net::ByteReader& r) {
     peer_interests_[event.source] = std::move(modules);
   }
   // Storing the declaration is its render hop: it became effective.
-  note_render(event, config_.control_channel, nullptr);
-  const double cycles = config_.overheads.procfs_update_cycles_per_event;
-  charge(cycles);
-  handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
+  note_render(event, config_.dmon.control_channel, nullptr);
+  charge_receive();
 }
 
 Status DMon::declare_interest(std::vector<std::string> modules) {
@@ -1170,544 +1017,37 @@ void DMon::submit_batch(std::vector<MetricSample>& sorted, PollRecord& record) {
     tm_bytes_saved_.add(saved);
   }
   ++record.events_submitted;
+  count_batch(batch, record);
+}
+
+void DMon::count_batch(const net::MonitorBatch& batch,
+                       const PollRecord& record) {
   tm_batch_submits_.add();
   tm_batch_samples_.add(batch.entries.size());
   if (record.keyframe) tm_batch_keyframes_.add();
 }
 
-// --- hierarchical aggregation overlay --------------------------------------
+// --- zone overlay forwarders (overlay.cpp) ----------------------------------
 
-bool DMon::hier_alive(std::size_t node) const {
-  return node == static_cast<std::size_t>(nic_.node()) ||
-         hier_dead_.find(node) == hier_dead_.end();
+bool DMon::hierarchy_active() const { return overlay_ != nullptr; }
+
+const net::AggregateBatch* DMon::cluster_summary() const {
+  return overlay_ ? overlay_->summary() : nullptr;
+}
+
+SimTime DMon::cluster_summary_at() const {
+  return overlay_ ? overlay_->summary_at() : SimTime{};
 }
 
 std::optional<std::size_t> DMon::zone_acting(std::uint32_t zone_id) const {
-  if (config_.hierarchy_layout == nullptr) return std::nullopt;
-  const HierarchyLayout& layout = *config_.hierarchy_layout;
-  if (zone_id >= layout.zones().size()) return std::nullopt;
-  return layout.acting(layout.zone(zone_id),
-                       [this](std::size_t node) { return hier_alive(node); });
-}
-
-DMon::ZoneDuty* DMon::duty_of(std::uint32_t zone_id) {
-  for (ZoneDuty& duty : duties_) {
-    if (duty.zone->id == zone_id) return &duty;
-  }
-  return nullptr;
-}
-
-kecho::Channel* DMon::join_zone_channel(std::uint32_t zone_id) {
-  auto it = zone_channels_.find(zone_id);
-  if (it != zone_channels_.end()) return it->second;
-  const HierarchyZone& zone = config_.hierarchy_layout->zone(zone_id);
-  kecho::Channel& channel =
-      kecho_.join(config_.monitor_channel + "." + zone.name);
-  channel.set_handler([this, zone_id](const kecho::Event& event) {
-    on_zone_event(zone_id, event);
-  });
-  zone_channels_[zone_id] = &channel;
-  return &channel;
-}
-
-void DMon::start_hierarchy() {
-  const HierarchyLayout& layout = *config_.hierarchy_layout;
-  const std::size_t self = nic_.node();
-  if (self >= layout.node_count()) {
-    // Outside the layout (a late-added node): fall back to the flat stack
-    // rather than publishing into zones nobody aggregates.
-    DPROC_WARN() << "dmon " << self
-                 << ": node outside the hierarchy layout; running flat";
-    monitor_channel_ = &kecho_.join(config_.monitor_channel);
-    monitor_channel_->set_handler(
-        [this](const kecho::Event& event) { on_monitor_event(event); });
-    control_channel_ = &kecho_.join(config_.control_channel);
-    control_channel_->set_handler(
-        [this](const kecho::Event& event) { on_control_event(event); });
-    return;
-  }
-  hier_ = true;
-  leaf_zone_ = &layout.leaf_of(self);
-
-  bool subscriber = !config_.hierarchy.subscribers.has_value();
-  if (config_.hierarchy.subscribers) {
-    for (const std::size_t node : *config_.hierarchy.subscribers) {
-      if (node == self) {
-        subscriber = true;
-        break;
-      }
-    }
-  }
-  const std::vector<std::uint32_t> duty_ids = layout.duty_zones(self);
-  bool root_candidate = false;
-  for (const std::uint32_t zid : duty_ids) {
-    if (zid == layout.root().id) root_candidate = true;
-  }
-  // Summary membership: subscribers (to read) and root candidates (to
-  // publish and to take drill requests). The control channel stays
-  // subscriber-scoped — zone traffic never rides it.
-  if (subscriber || root_candidate) {
-    monitor_channel_ = &kecho_.join(config_.monitor_channel);
-    monitor_channel_->set_handler(
-        [this](const kecho::Event& event) { on_monitor_event(event); });
-  }
-  if (subscriber) {
-    control_channel_ = &kecho_.join(config_.control_channel);
-    control_channel_->set_handler(
-        [this](const kecho::Event& event) { on_control_event(event); });
-  }
-
-  duties_.clear();
-  for (const std::uint32_t zid : duty_ids) {
-    ZoneDuty duty;
-    duty.zone = &layout.zone(zid);
-    duty.channel = join_zone_channel(zid);
-    duty.parent_channel = duty.zone->parent
-                              ? join_zone_channel(*duty.zone->parent)
-                              : monitor_channel_;
-    duties_.push_back(std::move(duty));
-  }
-
-  tm_tier_.clear();
-  tm_tier_.resize(layout.tiers());
-  for (std::uint32_t tier = 0; tier < layout.tiers(); ++tier) {
-    const std::string prefix = "t" + std::to_string(tier) + "_";
-    telemetry::Registry& tm = host_.telemetry();
-    tm_tier_[tier].tx_events = &tm.counter("hier", prefix + "tx_events");
-    tm_tier_[tier].tx_bytes = &tm.counter("hier", prefix + "tx_bytes");
-    tm_tier_[tier].rx_events = &tm.counter("hier", prefix + "rx_events");
-    tm_tier_[tier].rx_bytes = &tm.counter("hier", prefix + "rx_bytes");
-  }
-  tm_hier_rollups_ = &host_.telemetry().counter("hier", "rollup_publishes");
-  tm_hier_drill_req_ = &host_.telemetry().counter("hier", "drill_requests");
-  tm_hier_drill_data_ = &host_.telemetry().counter("hier", "drill_data_frames");
-  register_hier_files();
-}
-
-void DMon::register_hier_files() {
-  if (hier_files_registered_) return;
-  hier_files_registered_ = true;
-  procfs_.register_file("/proc/dproc/hierarchy", [this]() mutable {
-    std::ostringstream out;
-    const HierarchyLayout& layout = *config_.hierarchy_layout;
-    out << "zones " << layout.zones().size() << " tiers " << layout.tiers()
-        << " zone_size " << config_.hierarchy.zone_size << " fanout "
-        << config_.hierarchy.fanout << "\n"
-        << "leaf " << (leaf_zone_ != nullptr ? leaf_zone_->name : "-") << "\n";
-    for (const ZoneDuty& duty : duties_) {
-      const auto act = zone_acting(duty.zone->id);
-      out << "duty " << duty.zone->name << " acting ";
-      if (act) {
-        out << *act;
-        if (*act == static_cast<std::size_t>(nic_.node())) out << " (self)";
-      } else {
-        out << "-";
-      }
-      out << " origins " << duty.rollup.origin_count() << " children "
-          << duty.rollup.child_count() << " drills " << duty.drills.size()
-          << "\n";
-    }
-    out << "summary " << (summary_valid_ ? "valid" : "none");
-    if (summary_valid_) {
-      out << " entries " << summary_.entries.size() << " age_s "
-          << (host_.engine().now() - summary_at_).sec();
-    }
-    out << "\n";
-    return out.str();
-  });
-  procfs_.register_file(
-      "/proc/dproc/drilldown",
-      [this] {
-        std::ostringstream out;
-        out << "local";
-        for (const net::NodeId target : local_drills_) out << " " << target;
-        out << "\n";
-        for (const ZoneDuty& duty : duties_) {
-          for (const auto& [target, requesters] : duty.drills) {
-            out << duty.zone->name << " target " << target << " requesters "
-                << requesters.size() << "\n";
-          }
-        }
-        return out.str();
-      },
-      [this](const std::string& text) {
-        std::istringstream in(text);
-        unsigned long node = 0;
-        std::string mode;
-        if (!(in >> node)) {
-          return Status::invalid_argument("usage: <node-id> [on|off]");
-        }
-        in >> mode;
-        return drill_down(static_cast<net::NodeId>(node), mode != "off");
-      });
-  // Cluster-wide roll-up files at summary members. /proc/cluster/summary
-  // belongs to the application-level ClusterAggregator; the overlay renders
-  // under /proc/cluster/rollup.
-  if (monitor_channel_ != nullptr) {
-    for (const MetricDesc& desc : metric_table_) {
-      const MetricId id = desc.id;
-      procfs_.register_file("/proc/cluster/rollup/" + desc.path, [this, id] {
-        if (!summary_valid_) return std::string{"no data\n"};
-        return render_aggregate_entry(summary_, id, host_.engine().now(),
-                                      summary_at_, &nic_.fabric());
-      });
-    }
-  }
-  // Zone summaries at every candidate (whichever candidate is acting, the
-  // standbys' copies go stale rather than vanish).
-  for (const ZoneDuty& duty : duties_) {
-    const std::uint32_t zid = duty.zone->id;
-    const std::string base = "/proc/cluster/zones/" + duty.zone->name + "/";
-    for (const MetricDesc& desc : metric_table_) {
-      const MetricId id = desc.id;
-      procfs_.register_file(base + desc.path, [this, zid, id]() mutable {
-        const ZoneDuty* duty = duty_of(zid);
-        if (duty == nullptr || !duty->last_built_valid) {
-          return std::string{"no data\n"};
-        }
-        return render_aggregate_entry(duty->last_built, id,
-                                      host_.engine().now(),
-                                      duty->last_built_at, &nic_.fabric());
-      });
-    }
-  }
-}
-
-void DMon::on_zone_event(std::uint32_t zone_id, const kecho::Event& event) {
-  net::ByteReader r{event.payload_header()};
-  const std::uint8_t op = r.u8();
-  const SimTime now = host_.engine().now();
-  if (op == kOpMonitorBatch) {
-    // A zone member's raw feed into its leaf aggregator.
-    ZoneDuty* duty = duty_of(zone_id);
-    if (duty == nullptr || duty->zone->tier != 0) return;
-    if (!net::MonitorBatch::decode(r, rx_batch_)) {
-      DPROC_WARN() << "dmon " << nic_.node()
-                   << ": malformed zone batch from " << event.source;
-      return;
-    }
-    duty->rollup.update_origin(event.source, rx_batch_, now);
-    if (!tm_tier_.empty()) {
-      tm_tier_[0].rx_events->add();
-      tm_tier_[0].rx_bytes->add(event.payload_size());
-    }
-    // The aggregator's own procfs view of its zone mates stays live.
-    Peer& peer = ensure_peer(event.source);
-    peer.last_update = now;
-    peer.has_data = true;
-    peer.dead = false;
-    apply_batch_to_peer(peer, rx_batch_, event.trace.trace_id);
-    note_render(event, config_.monitor_channel, &peer);
-    maybe_forward_drill(*duty, event.source, rx_batch_, nullptr);
-    const double cycles = config_.overheads.procfs_update_cycles_per_event;
-    charge(cycles);
-    handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
-    return;
-  }
-  if (op == kOpAggregate) {
-    // A child zone's roll-up on this (parent) zone's channel. Sibling
-    // candidates overhear it too — only a candidate of the parent folds,
-    // and only frames whose zone really is a child (the zone id doubles as
-    // the overwrite key, so a re-elected child aggregator republishing the
-    // same zone never double-counts).
-    if (!net::AggregateBatch::decode(r, agg_rx_)) {
-      DPROC_WARN() << "dmon " << nic_.node()
-                   << ": malformed aggregate from " << event.source;
-      return;
-    }
-    ZoneDuty* duty = duty_of(zone_id);
-    if (duty == nullptr) return;
-    const auto& zones = config_.hierarchy_layout->zones();
-    if (agg_rx_.zone >= zones.size() ||
-        zones[agg_rx_.zone].parent != zone_id) {
-      return;
-    }
-    duty->rollup.update_child(agg_rx_, now);
-    if (agg_rx_.tier < tm_tier_.size()) {
-      tm_tier_[agg_rx_.tier].rx_events->add();
-      tm_tier_[agg_rx_.tier].rx_bytes->add(event.payload_size());
-    }
-    const double cycles = config_.overheads.procfs_update_cycles_per_event;
-    charge(cycles);
-    handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
-    return;
-  }
-  if (op == kOpDrillRequest) {
-    // Downward propagation: a request on channel(p) is for the duties
-    // whose parent is p (the zone that forwarded it).
-    const net::NodeId requester = r.u32();
-    const net::NodeId target = r.u32();
-    const bool enable = r.u8() != 0;
-    const std::uint32_t ttl = r.u32();
-    if (!r.ok()) return;
-    const SimTime expiry =
-        now + config_.poll_period * static_cast<double>(ttl);
-    for (ZoneDuty& duty : duties_) {
-      if (duty.zone->parent && *duty.zone->parent == zone_id) {
-        apply_drill(duty, requester, target, enable, expiry);
-      }
-    }
-    return;
-  }
-  if (op == kOpDrillData) {
-    // Upward relay: we were addressed as the acting aggregator of this
-    // zone. Validate, then pass the frame along the acting chain.
-    const net::NodeId origin = r.u32();
-    ZoneDuty* duty = duty_of(zone_id);
-    if (duty == nullptr) return;
-    if (!net::MonitorBatch::decode(r, rx_batch_)) {
-      DPROC_WARN() << "dmon " << nic_.node()
-                   << ": malformed drill relay from " << event.source;
-      return;
-    }
-    send_drill_up(*duty, origin, encode_drill_data(origin, rx_batch_),
-                  nullptr);
-    return;
-  }
-}
-
-void DMon::submit_hier(std::vector<MetricSample>& sorted, PollRecord& record) {
-  if (leaf_zone_ == nullptr) return;
-  const auto act = zone_acting(leaf_zone_->id);
-  if (!act) return;
-  const std::size_t self = nic_.node();
-  const SimTime now = host_.engine().now();
-  if (*act == self) {
-    // This node is its own aggregator: fold locally, no loopback frame.
-    if (!build_publish_batch(sorted, record, batch_scratch_)) return;
-    ZoneDuty* duty = duty_of(leaf_zone_->id);
-    duty->rollup.update_origin(static_cast<std::uint32_t>(self),
-                               batch_scratch_, now);
-    maybe_forward_drill(*duty, static_cast<net::NodeId>(self), batch_scratch_,
-                        &record);
-    return;
-  }
-  kecho::Channel* channel = zone_channels_.at(leaf_zone_->id);
-  if (!channel->ready()) return;
-  if (!build_publish_batch(sorted, record, batch_scratch_)) return;
-  const net::MessagePtr frame = encode_batch_event(batch_scratch_);
-  record.submit_cost += channel->submit_to(
-      static_cast<net::NodeId>(*act), frame, begin_trace(channel->id()));
-  ++record.events_submitted;
-  tm_batch_submits_.add();
-  tm_batch_samples_.add(batch_scratch_.entries.size());
-  if (record.keyframe) tm_batch_keyframes_.add();
-  if (!tm_tier_.empty()) {
-    tm_tier_[0].tx_events->add();
-    tm_tier_[0].tx_bytes->add(frame->size());
-  }
-}
-
-void DMon::publish_rollups(PollRecord& record) {
-  const SimTime now = host_.engine().now();
-  const SimDuration horizon =
-      config_.poll_period * static_cast<double>(config_.stale_after_periods);
-  const std::size_t self = nic_.node();
-  for (ZoneDuty& duty : duties_) {
-    const auto act = zone_acting(duty.zone->id);
-    if (!act || *act != self) continue;
-    const RollupSpec& spec = config_.hierarchy.rollup_for(duty.zone->name);
-    if (!duty.rollup.build(agg_scratch_, spec, now, horizon)) continue;
-    agg_scratch_.tier = static_cast<std::uint8_t>(duty.zone->tier);
-    agg_scratch_.zone = duty.zone->id;
-    duty.last_built = agg_scratch_;
-    duty.last_built_at = now;
-    duty.last_built_valid = true;
-    if (tm_hier_rollups_ != nullptr) tm_hier_rollups_->add();
-    if (duty.zone->parent) {
-      // Fold into our own parent duty directly (a submit never loops back
-      // to the sender); the wire copy keeps the other parent candidates'
-      // standby state warm for failover.
-      if (ZoneDuty* parent = duty_of(*duty.zone->parent)) {
-        parent->rollup.update_child(agg_scratch_, now);
-      }
-    } else {
-      summary_ = agg_scratch_;
-      summary_at_ = now;
-      summary_valid_ = true;
-    }
-    kecho::Channel* up = duty.parent_channel;
-    if (up == nullptr || !up->ready() || up->remote_member_count() == 0) {
-      continue;
-    }
-    const net::MessagePtr frame = encode_aggregate_event(agg_scratch_);
-    record.submit_cost += up->submit(frame, begin_trace(up->id()));
-    ++record.events_submitted;
-    if (duty.zone->tier < tm_tier_.size()) {
-      tm_tier_[duty.zone->tier].tx_events->add();
-      tm_tier_[duty.zone->tier].tx_bytes->add(frame->size());
-    }
-  }
-}
-
-void DMon::apply_drill(ZoneDuty& duty, net::NodeId requester,
-                       net::NodeId target, bool enable, SimTime expiry) {
-  if (!duty.zone->contains(target)) return;
-  if (enable) {
-    duty.drills[target][requester] = expiry;
-  } else {
-    auto it = duty.drills.find(target);
-    if (it != duty.drills.end()) {
-      it->second.erase(requester);
-      if (it->second.empty()) duty.drills.erase(it);
-    }
-  }
-  if (tm_hier_drill_req_ != nullptr) tm_hier_drill_req_->add();
-  if (duty.zone->tier == 0) return;
-  // The acting aggregator re-announces on the zone's own channel — a plain
-  // submit reaching every child candidate, so the routing state survives
-  // child failover — and applies directly to the child duties it holds
-  // itself (its own submit never loops back).
-  const auto act = zone_acting(duty.zone->id);
-  if (!act || *act != static_cast<std::size_t>(nic_.node())) return;
-  kecho::Channel* down = duty.channel;
-  if (down != nullptr && down->ready() && down->remote_member_count() > 0) {
-    const auto ttl = static_cast<std::uint32_t>(
-        std::max(1, config_.hierarchy.drill_ttl_periods));
-    down->submit(encode_drill_request(requester, target, enable, ttl));
-  }
-  for (ZoneDuty& child : duties_) {
-    if (child.zone->parent && *child.zone->parent == duty.zone->id) {
-      apply_drill(child, requester, target, enable, expiry);
-    }
-  }
-}
-
-void DMon::send_drill_request(net::NodeId target, bool enable) {
-  const auto ttl = static_cast<std::uint32_t>(
-      std::max(1, config_.hierarchy.drill_ttl_periods));
-  if (monitor_channel_ != nullptr && monitor_channel_->ready() &&
-      monitor_channel_->remote_member_count() > 0) {
-    monitor_channel_->submit(
-        encode_drill_request(nic_.node(), target, enable, ttl));
-  }
-  // Root candidates see their own announcements directly.
-  if (ZoneDuty* root = duty_of(config_.hierarchy_layout->root().id)) {
-    const SimTime expiry =
-        host_.engine().now() + config_.poll_period * static_cast<double>(ttl);
-    apply_drill(*root, nic_.node(), target, enable, expiry);
-  }
+  return overlay_ ? overlay_->acting(zone_id) : std::nullopt;
 }
 
 Status DMon::drill_down(net::NodeId target, bool enable) {
-  if (!hier_) {
+  if (!overlay_) {
     return Status::failed_precondition("hierarchy overlay not active");
   }
-  if (monitor_channel_ == nullptr) {
-    return Status::failed_precondition(
-        "drill-down needs summary-channel membership (subscriber)");
-  }
-  if (target >= nic_.fabric().node_count()) {
-    return Status::invalid_argument("drill target outside the cluster");
-  }
-  if (enable) {
-    local_drills_.insert(target);
-  } else {
-    local_drills_.erase(target);
-  }
-  send_drill_request(target, enable);
-  return Status::ok();
-}
-
-void DMon::send_drill_up(ZoneDuty& duty, net::NodeId origin,
-                         const net::MessagePtr& frame, PollRecord* record) {
-  const std::size_t self = nic_.node();
-  if (!duty.zone->parent) {
-    // Root: deliver to the live requesters over the summary channel.
-    auto it = duty.drills.find(origin);
-    if (it == duty.drills.end()) return;
-    const SimTime now = host_.engine().now();
-    auto& requesters = it->second;
-    bool self_wants = false;
-    for (auto rit = requesters.begin(); rit != requesters.end();) {
-      if (rit->second < now) {
-        rit = requesters.erase(rit);
-        continue;
-      }
-      if (rit->first == static_cast<net::NodeId>(self)) self_wants = true;
-      ++rit;
-    }
-    if (requesters.empty()) {
-      duty.drills.erase(it);
-      return;
-    }
-    if (self_wants) {
-      // The acting root drilled the target itself: apply locally.
-      net::ByteReader r{std::span<const std::uint8_t>{frame->header}};
-      r.u8();
-      r.u32();
-      net::MonitorBatch batch;
-      if (net::MonitorBatch::decode(r, batch)) {
-        Peer& peer = ensure_peer(origin);
-        peer.last_update = now;
-        peer.has_data = true;
-        peer.dead = false;
-        apply_batch_to_peer(peer, batch, 0);
-      }
-    }
-    if (monitor_channel_ != nullptr && monitor_channel_->ready()) {
-      const auto& reqs = requesters;
-      const SimDuration cost = monitor_channel_->submit_to_each(
-          [&reqs, &frame](net::NodeId member) -> net::MessagePtr {
-            return reqs.find(member) != reqs.end() ? frame : nullptr;
-          });
-      if (record != nullptr) {
-        record->submit_cost += cost;
-        ++record->events_submitted;
-      }
-    }
-    if (tm_hier_drill_data_ != nullptr) tm_hier_drill_data_->add();
-    return;
-  }
-  const auto act = zone_acting(*duty.zone->parent);
-  if (!act) return;
-  if (*act == self) {
-    if (ZoneDuty* parent = duty_of(*duty.zone->parent)) {
-      send_drill_up(*parent, origin, frame, record);
-    }
-    return;
-  }
-  kecho::Channel* up = duty.parent_channel;
-  if (up == nullptr || !up->ready()) return;
-  const SimDuration cost =
-      up->submit_to(static_cast<net::NodeId>(*act), frame);
-  if (record != nullptr) {
-    record->submit_cost += cost;
-    ++record->events_submitted;
-  }
-  if (tm_hier_drill_data_ != nullptr) tm_hier_drill_data_->add();
-}
-
-void DMon::maybe_forward_drill(ZoneDuty& leaf_duty, net::NodeId origin,
-                               const net::MonitorBatch& batch,
-                               PollRecord* record) {
-  auto it = leaf_duty.drills.find(origin);
-  if (it == leaf_duty.drills.end()) return;
-  const SimTime now = host_.engine().now();
-  bool live = false;
-  for (const auto& [requester, expiry] : it->second) {
-    if (expiry >= now) {
-      live = true;
-      break;
-    }
-  }
-  if (!live) {
-    leaf_duty.drills.erase(it);
-    return;
-  }
-  send_drill_up(leaf_duty, origin, encode_drill_data(origin, batch), record);
-}
-
-void DMon::prune_drills(SimTime now) {
-  for (ZoneDuty& duty : duties_) {
-    for (auto it = duty.drills.begin(); it != duty.drills.end();) {
-      auto& requesters = it->second;
-      for (auto rit = requesters.begin(); rit != requesters.end();) {
-        rit = rit->second < now ? requesters.erase(rit) : std::next(rit);
-      }
-      it = requesters.empty() ? duty.drills.erase(it) : std::next(it);
-    }
-  }
+  return overlay_->drill_down(target, enable);
 }
 
 PollRecord DMon::poll() {
@@ -1727,7 +1067,7 @@ PollRecord DMon::poll() {
   scan_peer_health(host_.engine().now());
 
   // --- collection phase: poll each registered module's callback ---------
-  charge(config_.overheads.collect_cycles_per_module *
+  charge(config_.dmon.overheads.collect_cycles_per_module *
          static_cast<double>(modules_.size()));
   const SimTime now = host_.engine().now();
   std::vector<MetricSample> collected;
@@ -1791,30 +1131,19 @@ PollRecord DMon::poll() {
   if (collected.size() > decision.to_send.size()) {
     tm_suppressed_.add(collected.size() - decision.to_send.size());
   }
-  charge(config_.overheads.filter_exec_cycles_per_insn *
+  charge(config_.dmon.overheads.filter_exec_cycles_per_insn *
          static_cast<double>(decision.filter_instructions));
 
-  if (hier_) {
-    std::sort(decision.to_send.begin(), decision.to_send.end(),
-              [](const MetricSample& a, const MetricSample& b) {
-                return a.id < b.id;
-              });
-    submit_hier(decision.to_send, record);
-    prune_drills(host_.engine().now());
-    publish_rollups(record);
-    // Requester side: re-announce active drills so they outlive aggregator
-    // failover and age out at the aggregators when this node dies.
-    for (const net::NodeId target : local_drills_) {
-      send_drill_request(target, true);
-    }
+  // Filters may emit metrics in any order; per-module grouping, batch
+  // encoding and the roll-ups need ascending ids.
+  std::sort(decision.to_send.begin(), decision.to_send.end(),
+            [](const MetricSample& a, const MetricSample& b) {
+              return a.id < b.id;
+            });
+  if (overlay_) {
+    overlay_->poll(decision.to_send, record);
   } else if (monitor_channel_ != nullptr && monitor_channel_->ready() &&
              monitor_channel_->remote_member_count() > 0) {
-    // Filters may emit metrics in any order; per-module grouping and batch
-    // encoding need ascending ids.
-    std::sort(decision.to_send.begin(), decision.to_send.end(),
-              [](const MetricSample& a, const MetricSample& b) {
-                return a.id < b.id;
-              });
     if (config_.batch.enabled) {
       submit_batch(decision.to_send, record);
     } else {
@@ -1825,16 +1154,17 @@ PollRecord DMon::poll() {
   // --- indirect perturbation (cache pollution, deferred kernel work) ----
   // Under the overlay each submitted event reaches one member (the zone
   // aggregator) or a zone channel's few candidates, not the whole cluster.
+  double fanout = 1.0;
+  if (!overlay_) {
+    fanout = monitor_channel_ != nullptr
+                 ? static_cast<double>(monitor_channel_->remote_member_count())
+                 : 0.0;
+  }
   const double collateral_events =
-      hier_ ? static_cast<double>(record.events_submitted) +
-                  static_cast<double>(record.events_received)
-            : static_cast<double>(record.events_submitted) *
-                      static_cast<double>(
-                          monitor_channel_ != nullptr
-                              ? monitor_channel_->remote_member_count()
-                              : 0) +
-                  static_cast<double>(record.events_received);
-  charge(config_.overheads.collateral_cycles_per_event * collateral_events);
+      static_cast<double>(record.events_submitted) * fanout +
+      static_cast<double>(record.events_received);
+  charge(config_.dmon.overheads.collateral_cycles_per_event *
+         collateral_events);
 
   submit_cost_us_.add(record.submit_cost.us());
   receive_cost_us_.add(record.receive_cost.us());
@@ -1862,14 +1192,14 @@ void DMon::run_adaptation(SimDuration kernel_before) {
   // The controller's decision pass is kernel work; charging it before the
   // window cost is read keeps the measured overhead honest about the cost
   // of adaptation itself.
-  if (boundary) charge(config_.overheads.control_apply_cycles);
+  if (boundary) charge(config_.dmon.overheads.control_apply_cycles);
   adapt_window_cost_ += host_.cpu().kernel_cpu_time() - kernel_before;
   if (!boundary) {
     ++adapt_poll_count_;
     return;
   }
   const double window_sec =
-      static_cast<double>(every) * config_.poll_period.sec();
+      static_cast<double>(every) * config_.dmon.poll_period.sec();
   const double overhead =
       window_sec > 0.0 ? adapt_window_cost_.sec() / window_sec : 0.0;
   adapt_poll_count_ = 0;

@@ -64,14 +64,12 @@ HealthEngine::HealthEngine(host::Host& host, telemetry::FlightRecorder* flight,
   series_names_.reserve(series_.size());
   for (const Series& s : series_) series_names_.push_back(s.name);
 
-  // Default watchdogs — the paper-motivated post-mortem triggers: a member
+  // The watchdogs — the paper-motivated post-mortem triggers: a member
   // eviction, a registry leader failover, or a staleness-SLO breach each
-  // opens an incident. User rules append.
+  // opens an incident.
   rules_ = {WatchdogRule{"kecho/evictions", 1.0, 1},
             WatchdogRule{"registry/failovers", 1.0, 1},
             WatchdogRule{"trace/slo_violations", 1.0, 1}};
-  rules_.insert(rules_.end(), config_.watchdogs.begin(),
-                config_.watchdogs.end());
   tm_score_.set(score_);
 }
 

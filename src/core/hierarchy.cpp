@@ -109,21 +109,6 @@ void ZoneRollup::update_origin(std::uint32_t origin,
   }
 }
 
-void ZoneRollup::update_origin_sample(std::uint32_t origin, std::uint32_t id,
-                                      double value, std::int64_t sampled_ns,
-                                      SimTime now) {
-  OriginState& state = origins_[origin];
-  state.last_update = now;
-  if (id >= state.values.size()) {
-    state.values.resize(id + 1, 0.0);
-    state.sampled_ns.resize(id + 1, 0);
-    state.valid.resize(id + 1, 0);
-  }
-  state.values[id] = value;
-  state.sampled_ns[id] = sampled_ns;
-  state.valid[id] = 1;
-}
-
 void ZoneRollup::update_child(const net::AggregateBatch& batch, SimTime now) {
   ChildState& state = children_[batch.zone];
   state.last_update = now;

@@ -543,12 +543,18 @@ void Node::apply_membership(Channel& channel, ChannelId id,
   for (auto& fn : callbacks) fn(channel);
 }
 
+ClientCacheStats Node::cache_stats() const {
+  return ClientCacheStats{tm_cache_hits_.value(), tm_cache_misses_.value(),
+                          tm_cache_invalidations_.value(), cache_expiries_,
+                          max_served_staleness_ns_};
+}
+
 const Node::CachedRecord* Node::fresh_cache_entry(const std::string& name) {
   auto it = channel_cache_.find(name);
   if (it == channel_cache_.end()) return nullptr;
   if (host_.engine().now() - it->second.stamped > registry_client_.cache_lease) {
     channel_cache_.erase(it);
-    ++cache_stats_.expiries;
+    ++cache_expiries_;
     return nullptr;
   }
   return &it->second;
@@ -567,12 +573,9 @@ void Node::cache_store(const std::string& name, ChannelId id, bool found,
 bool Node::try_cache_adopt(Channel& channel) {
   const CachedRecord* record = fresh_cache_entry(channel.name_);
   if (record == nullptr || !record->found) return false;
-  ++cache_stats_.hits;
   tm_cache_hits_.add();
-  const std::int64_t staleness =
-      (host_.engine().now() - record->stamped).ns();
-  cache_stats_.max_served_staleness_ns =
-      std::max(cache_stats_.max_served_staleness_ns, staleness);
+  max_served_staleness_ns_ = std::max(
+      max_served_staleness_ns_, (host_.engine().now() - record->stamped).ns());
   apply_membership(channel, record->id, record->members);
   return true;
 }
@@ -580,15 +583,13 @@ bool Node::try_cache_adopt(Channel& channel) {
 void Node::lookup_members(const std::string& name, LookupCallback callback) {
   if (registry_client_.cache) {
     if (const CachedRecord* record = fresh_cache_entry(name)) {
-      ++cache_stats_.hits;
       tm_cache_hits_.add();
-      cache_stats_.max_served_staleness_ns =
-          std::max(cache_stats_.max_served_staleness_ns,
+      max_served_staleness_ns_ =
+          std::max(max_served_staleness_ns_,
                    (host_.engine().now() - record->stamped).ns());
       callback(JoinResponse{name, record->id, record->found, record->members});
       return;
     }
-    ++cache_stats_.misses;
     tm_cache_misses_.add();
   }
   PendingLookup& pending = pending_lookups_[name];
@@ -666,7 +667,6 @@ void Node::on_registry_datagram(const net::MessagePtr& message) {
       net::CacheInvalidate invalidate;
       if (!net::CacheInvalidate::decode(r, invalidate)) return;
       channel_cache_.erase(invalidate.name);
-      ++cache_stats_.invalidations;
       tm_cache_invalidations_.add();
       return;
     }

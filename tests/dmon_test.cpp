@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dproc/core/cluster.hpp"
+#include "dproc/net/wire.hpp"
 #include "dproc/workload/linpack.hpp"
 
 namespace dproc::core {
@@ -258,6 +259,26 @@ TEST_F(DmonTest, OverflowingFilterArithmeticKeepsClusterRunning) {
     ASSERT_NE(metric, nullptr) << filter;
     EXPECT_LE((engine.now() - metric->received_at).sec(), 1.1) << filter;
   }
+}
+
+TEST_F(DmonTest, TruncatedPerModuleFrameLeavesStoredValueIntact) {
+  // A legacy per-module frame cut inside its only entry: the id arrives,
+  // half of the value does not. No partial entry may be stored.
+  settle(2.5);
+  const MetricId freemem = *cluster->dmon(1)->metric_id("freemem");
+  net::ByteWriter w;
+  w.u8(1);  // per-module monitoring event
+  w.u32(1);
+  w.u32(freemem);
+  w.u32(0);  // 4 of the value's 8 bytes
+  cluster->node(1)
+      .kecho->join(cluster->config().dmon.monitor_channel)
+      .submit(net::make_message(w.take()));
+  settle(0.5);
+  const RemoteMetric* metric = cluster->dmon(0)->remote_metric(1, freemem);
+  ASSERT_NE(metric, nullptr);
+  EXPECT_GT(metric->value, 1e8);  // ~512 MB free, not a torn zero
+  EXPECT_GT(metric->sampled_at.ns(), 0);
 }
 
 }  // namespace

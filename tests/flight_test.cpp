@@ -15,9 +15,12 @@
 //  * SmartPointer trust — the published health score demotes a client's
 //    feed before any staleness-SLO violation exists;
 //  * composition — every observability feature on at once, on the zone
-//    overlay through a crash and a partition, pinned byte for byte.
+//    overlay through a crash and a partition, pinned byte for byte; and six
+//    rows covering every pair of the ten opt-in switches on the same plan,
+//    each pinned and, with liveness on, required to converge.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <sstream>
@@ -422,28 +425,78 @@ struct Fingerprint {
   }
 };
 
-/// 16 nodes on the zone overlay with tracing, adaptation, flight, health,
-/// sketches, batching, the replicated registry and liveness all on.
-core::ClusterConfig composed_config() {
+/// The ten opt-in switches of ClusterConfig, one row of a feature matrix.
+struct FeatureRow {
+  bool liveness;
+  bool registry;
+  bool self_monitor;
+  bool trace;
+  bool batch;
+  bool adapt;
+  bool hierarchy;
+  bool flight;
+  bool health;
+  bool sketch;
+};
+
+/// 16 nodes with the switches `row` turns on. Enabled features take the
+/// composed run's sub-settings: zones of 4 with fanout 4 and node 15 as the
+/// only summary subscriber, batching with exact-value delta suppression,
+/// tracing with a 2 s SLO, a 3-replica registry and liveness with join
+/// retries.
+core::ClusterConfig feature_config(const FeatureRow& row) {
   core::ClusterConfig config;
   config.node_count = 16;
-  config.hierarchy.enabled = true;
-  config.hierarchy.zone_size = 4;
-  config.hierarchy.fanout = 4;
-  config.hierarchy.subscribers = std::vector<std::size_t>{15};
-  config.batch.enabled = true;
-  config.batch.delta_epsilon = 0.0;
-  config.trace.enabled = true;
-  config.trace.default_slo = seconds(2.0);
-  config.adapt.enabled = true;
-  config.flight.enabled = true;
-  config.health.enabled = true;
-  config.sketch.enabled = true;
-  config.registry.enabled = true;
-  config.registry.replicas = 3;
-  config.liveness.enabled = true;
-  config.liveness.join_retries = true;
+  if (row.hierarchy) {
+    config.hierarchy.enabled = true;
+    config.hierarchy.zone_size = 4;
+    config.hierarchy.fanout = 4;
+    config.hierarchy.subscribers = std::vector<std::size_t>{15};
+  }
+  if (row.batch) {
+    config.batch.enabled = true;
+    config.batch.delta_epsilon = 0.0;
+  }
+  if (row.trace) {
+    config.trace.enabled = true;
+    config.trace.default_slo = seconds(2.0);
+  }
+  config.self_monitor = row.self_monitor;
+  config.adapt.enabled = row.adapt;
+  config.flight.enabled = row.flight;
+  config.health.enabled = row.health;
+  config.sketch.enabled = row.sketch;
+  if (row.registry) {
+    config.registry.enabled = true;
+    config.registry.replicas = 3;
+  }
+  if (row.liveness) {
+    config.liveness.enabled = true;
+    config.liveness.join_retries = true;
+  }
   return config;
+}
+
+/// Every feature on (health implies self-monitoring either way).
+constexpr FeatureRow kEveryFeature{true, true, true, true, true,
+                                   true, true, true, true, true};
+
+/// Runs `config` through the composed fault plan — crash node 5 at 10 s and
+/// restart it at 15 s, partition uplink(9) from 12 s to 14 s — to 30 s, then
+/// hands the cluster to `inspect`.
+template <typename Inspect>
+void run_fault_plan(const core::ClusterConfig& config, Inspect&& inspect) {
+  sim::Engine engine;
+  core::Cluster cluster{engine, config};
+  cluster.start_dproc();
+  sim::FaultPlan plan;
+  plan.crash_node(at(10.0), 5)
+      .restart_node(at(15.0), 5)
+      .partition_link(at(12.0), cluster.uplink(9))
+      .heal_link(at(14.0), cluster.uplink(9));
+  cluster.inject(plan);
+  engine.run_until(at(30.0));
+  inspect(cluster);
 }
 
 struct ComposedRun {
@@ -453,23 +506,10 @@ struct ComposedRun {
   std::size_t flight_events = 0;
 };
 
-/// Runs the composed cluster through a crash/restart and a partition/heal
-/// and fingerprints every host's span and hop rings (all fields, oldest
-/// first) plus its observability procfs files.
-ComposedRun run_composed() {
-  sim::Engine engine;
-  core::Cluster cluster{engine, composed_config()};
-  cluster.start_dproc();
-  sim::FaultPlan plan;
-  plan.crash_node(at(10.0), 5)
-      .restart_node(at(15.0), 5)
-      .partition_link(at(12.0), cluster.uplink(9))
-      .heal_link(at(14.0), cluster.uplink(9));
-  cluster.inject(plan);
-  engine.run_until(at(30.0));
-
+/// Fingerprints every host's span and hop rings (all fields, oldest first)
+/// plus its observability procfs files.
+ComposedRun fingerprint_observability(core::Cluster& cluster, Fingerprint& fp) {
   ComposedRun run;
-  Fingerprint fp;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     const telemetry::Registry& tm = cluster.host(i).telemetry();
     tm.spans().for_each([&fp](const telemetry::Span& span) {
@@ -501,6 +541,17 @@ ComposedRun run_composed() {
   return run;
 }
 
+/// Runs the every-feature cluster on the zone overlay through the fault
+/// plan and fingerprints its observability state.
+ComposedRun run_composed() {
+  ComposedRun run;
+  run_fault_plan(feature_config(kEveryFeature), [&run](core::Cluster& cluster) {
+    Fingerprint fp;
+    run = fingerprint_observability(cluster, fp);
+  });
+  return run;
+}
+
 // Recorded from the hand-rolled ring implementations this test was written
 // against: a change to how any ring stores, orders or drops records, or to
 // what the composed features record, changes this hash.
@@ -517,6 +568,113 @@ TEST(FlightChaos, EveryFeatureComposedIsDeterministicAndPinned) {
   EXPECT_EQ(first.hash, kComposedGoldenHash)
       << "composed hash 0x" << std::hex << first.hash
       << " diverged from the recorded one";
+}
+
+// --- pairwise composition ---------------------------------------------------
+
+/// Six rows covering every pair of the ten switches (each pair of features
+/// appears on, off, and in both mixed states in at least one row).
+constexpr FeatureRow kPairwiseRows[] = {
+    // liveness registry self_mon trace batch adapt hier flight health sketch
+    {false, false, false, false, false, false, false, false, false, false},
+    {true, true, true, true, true, true, false, false, false, false},
+    {true, true, true, false, false, false, true, true, true, false},
+    {true, false, false, true, true, false, true, true, false, true},
+    {false, true, false, true, false, true, true, false, true, true},
+    {false, false, true, false, true, true, false, true, true, true},
+};
+
+// Recorded before the d-mon/overlay split: a change to what any feature
+// combination publishes, renders or records changes these hashes.
+constexpr std::uint64_t kPairwiseGoldenHashes[] = {
+    0xba071ffd089e589full, 0xc069bdde81d0f74aull, 0x92fc6b1c64505d17ull,
+    0x879ee3ffbbd5ea23ull, 0xbae75c8183f032eeull, 0xc56606bbf0826a5cull,
+};
+
+struct PairwiseRun {
+  std::uint64_t hash = 0;
+  bool converged = false;
+};
+
+/// The composed fingerprint plus /proc/dproc/{status,hierarchy}, every
+/// d-mon's valid remote metrics and the subscriber's summary entries.
+/// `converged`: flat, every node sees every other node live; overlay, the
+/// subscriber's summary counts all 16 nodes on every entry.
+PairwiseRun run_pairwise(const FeatureRow& row) {
+  PairwiseRun run;
+  run_fault_plan(feature_config(row), [&run, &row](core::Cluster& cluster) {
+    Fingerprint fp;
+    (void)fingerprint_observability(cluster, fp);
+    run.converged = true;
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      for (const char* path : {"/proc/dproc/status", "/proc/dproc/hierarchy"}) {
+        auto text = cluster.procfs(i).read(path);
+        fp.str(path);
+        fp.str(text.is_ok() ? text.value() : std::string{"<unreadable>"});
+      }
+      const core::DMon& dmon = *cluster.dmon(i);
+      const std::size_t metrics = dmon.metric_table().size();
+      dmon.for_each_peer([&](net::NodeId node, const std::string&) {
+        for (core::MetricId id = 0; id < metrics; ++id) {
+          const core::RemoteMetric* m = dmon.remote_metric(node, id);
+          if (m == nullptr) continue;
+          fp.u64(node);
+          fp.u64(id);
+          fp.u64(std::bit_cast<std::uint64_t>(m->value));
+          fp.u64(static_cast<std::uint64_t>(m->sampled_at.ns()));
+        }
+      });
+      if (!row.hierarchy) {
+        for (std::size_t j = 0; j < cluster.size(); ++j) {
+          if (j != i && dmon.peer_state(static_cast<net::NodeId>(j)) !=
+                            core::PeerState::kLive) {
+            run.converged = false;
+          }
+        }
+      }
+    }
+    const net::AggregateBatch* summary = cluster.dmon(15)->cluster_summary();
+    if (row.hierarchy && (summary == nullptr || summary->entries.empty())) {
+      run.converged = false;
+    }
+    if (summary != nullptr) {
+      fp.u64(summary->flags);
+      fp.u64(summary->tier);
+      fp.u64(summary->zone);
+      for (const net::AggregateBatch::Entry& e : summary->entries) {
+        fp.u64(e.id);
+        fp.u64(e.count);
+        fp.u64(static_cast<std::uint64_t>(e.latest_ns));
+        fp.u64(std::bit_cast<std::uint64_t>(e.min));
+        fp.u64(std::bit_cast<std::uint64_t>(e.max));
+        fp.u64(std::bit_cast<std::uint64_t>(e.sum));
+        for (const net::AggregateBatch::Top& top : e.top) {
+          fp.u64(top.node);
+          fp.u64(std::bit_cast<std::uint64_t>(top.value));
+        }
+        if (e.count != cluster.size()) run.converged = false;
+      }
+    }
+    run.hash = fp.h;
+  });
+  return run;
+}
+
+TEST(FlightChaos, PairwiseFeatureRowsAreDeterministicAndPinned) {
+  for (std::size_t r = 0; r < std::size(kPairwiseRows); ++r) {
+    const FeatureRow& row = kPairwiseRows[r];
+    const PairwiseRun first = run_pairwise(row);
+    const PairwiseRun second = run_pairwise(row);
+    EXPECT_EQ(first.hash, second.hash) << "row " << r << " not deterministic";
+    EXPECT_EQ(first.hash, kPairwiseGoldenHashes[r])
+        << "row " << r << " hash 0x" << std::hex << first.hash
+        << " diverged from the recorded one";
+    // Without liveness the stack is failure-unaware by design: a restarted
+    // node may keep a silent peer stale, so only liveness rows must heal.
+    if (row.liveness) {
+      EXPECT_TRUE(first.converged) << "row " << r << " did not converge";
+    }
+  }
 }
 
 }  // namespace

@@ -26,6 +26,14 @@ namespace {
 
 SimTime at(double sec) { return SimTime::zero() + seconds(sec); }
 
+/// A raw feed carrying one sample.
+net::MonitorBatch one_sample(std::uint32_t id, double value,
+                             std::int64_t sampled_ns) {
+  net::MonitorBatch batch;
+  batch.entries.push_back(net::MonitorBatch::Entry{id, value, sampled_ns});
+  return batch;
+}
+
 HierarchyConfig hier(std::size_t zone_size, std::size_t fanout) {
   HierarchyConfig config;
   config.enabled = true;
@@ -103,9 +111,9 @@ TEST(HierarchyLayout, ActingElectionFallsThroughDeadCandidates) {
 
 TEST(ZoneRollup, FoldsOriginSamplesIntoOneEntry) {
   ZoneRollup rollup;
-  rollup.update_origin_sample(1, 0, 1.0, 100, at(1.0));
-  rollup.update_origin_sample(2, 0, 3.0, 200, at(1.0));
-  rollup.update_origin_sample(3, 0, 2.0, 300, at(1.0));
+  rollup.update_origin(1, one_sample(0, 1.0, 100), at(1.0));
+  rollup.update_origin(2, one_sample(0, 3.0, 200), at(1.0));
+  rollup.update_origin(3, one_sample(0, 2.0, 300), at(1.0));
   RollupSpec spec;
   spec.top_k = 2;
   net::AggregateBatch out;
@@ -125,8 +133,8 @@ TEST(ZoneRollup, FoldsOriginSamplesIntoOneEntry) {
 
 TEST(ZoneRollup, StaleOriginsAgeOutOfTheBuild) {
   ZoneRollup rollup;
-  rollup.update_origin_sample(1, 0, 1.0, 0, at(0.0));
-  rollup.update_origin_sample(2, 0, 2.0, 0, at(9.0));
+  rollup.update_origin(1, one_sample(0, 1.0, 0), at(0.0));
+  rollup.update_origin(2, one_sample(0, 2.0, 0), at(9.0));
   net::AggregateBatch out;
   ASSERT_TRUE(rollup.build(out, RollupSpec{}, at(10.0), seconds(3.0)));
   ASSERT_EQ(out.entries.size(), 1u);
@@ -249,6 +257,42 @@ TEST(HierarchyOverlay, DrillDownPullsOneRawFeedWithoutFlattening) {
   EXPECT_EQ(cluster.dmon(5)->remote_metric(n13, "loadavg")->received_at,
             stopped_at)
       << "feed kept flowing after the drill-down was disabled";
+}
+
+TEST(HierarchyOverlay, RestartedRequesterHasNoOverlayMemory) {
+  sim::Engine engine;
+  ClusterConfig config;
+  config.node_count = 16;
+  config.hierarchy = hier(4, 4);
+  config.hierarchy.subscribers = std::vector<std::size_t>{5};
+  config.hierarchy.drill_ttl_periods = 3;
+  config.liveness.enabled = true;  // the restarted node's channels heal
+  Cluster cluster{engine, config};
+  cluster.start_dproc();
+  engine.run_until(at(5.0));
+  ASSERT_TRUE(cluster.procfs(5).write("/proc/dproc/drilldown", "13").is_ok());
+  engine.run_until(at(10.0));
+  const net::NodeId n13 = cluster.nic(13).node();
+  ASSERT_NE(cluster.dmon(5)->remote_metric(n13, "loadavg"), nullptr);
+  ASSERT_NE(cluster.dmon(5)->cluster_summary(), nullptr);
+
+  // A reboot forgets the summary and the drill: nothing re-announces it,
+  // so it ages out at the aggregators within its TTL.
+  cluster.crash_node(5);
+  engine.run_until(at(11.0));
+  cluster.restart_node(5);
+  EXPECT_EQ(cluster.dmon(5)->cluster_summary(), nullptr);
+  auto drills = cluster.procfs(5).read("/proc/dproc/drilldown");
+  ASSERT_TRUE(drills.is_ok());
+  EXPECT_TRUE(drills.value().starts_with("local\n")) << drills.value();
+
+  engine.run_until(at(25.0));
+  EXPECT_NE(cluster.dmon(5)->cluster_summary(), nullptr)
+      << "the summary feed reconverges after the restart";
+  const RemoteMetric* raw = cluster.dmon(5)->remote_metric(n13, "loadavg");
+  if (raw != nullptr) {
+    EXPECT_LT(raw->received_at, at(20.0)) << "the forgotten drill still flows";
+  }
 }
 
 // ---------------------------------------------------------------------------
