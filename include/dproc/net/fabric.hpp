@@ -7,17 +7,26 @@
 // buffer — this is where UDP floods lose packets and where TCP observes
 // congestion. Cross traffic contends exactly where routes share links,
 // which is how the Figure 10 topology perturbs the server-client path.
+//
+// Packets in flight are not engine events. The fabric keeps them in one
+// pool, threaded per link as a FIFO, and a link that holds packets has
+// exactly one queued event: its head packet's exit, keyed by the exit time
+// and the seq reserved when the link admitted it. A link's exit times never
+// decrease and its seqs grow, so packets leave in the same global order as
+// if each had its own event.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "dproc/net/packet.hpp"
 #include "dproc/sim/engine.hpp"
 #include "dproc/util/rng.hpp"
+#include "dproc/util/slab.hpp"
 #include "dproc/util/time.hpp"
 
 namespace dproc::net {
@@ -54,12 +63,12 @@ class Link {
   Link(sim::Engine& engine, LinkConfig config)
       : engine_(engine), config_(config) {}
 
-  /// Attempts to enqueue; returns the drop cause (kNone == accepted:
+  /// Offers a packet and returns the drop cause (kNone == admitted;
   /// kLinkDown when partitioned, kBufferFull on tail drop, kLoss on an
-  /// injected loss hit). `on_exit` fires when the packet has fully
-  /// traversed the link.
-  DropCause transmit(const Packet& packet,
-                     std::function<void(const Packet&)> on_exit);
+  /// injected loss hit). On admission `exit` is set to when the packet
+  /// will have fully traversed the link. Schedules nothing: the fabric
+  /// holds the packet until then.
+  DropCause transmit(const Packet& packet, SimTime& exit);
 
   /// Bytes currently waiting or in flight on the serializer.
   [[nodiscard]] std::uint64_t backlog_bytes() const;
@@ -132,9 +141,9 @@ class Fabric {
       const std::vector<NodeId>& nodes, const LinkConfig& config);
 
   /// Injects a packet; it traverses the route's links in order. If any hop
-  /// drops it, `on_drop` (optional) fires and traversal ends. Delivery
-  /// invokes the handler registered by the destination NIC.
-  void send(Packet packet, std::function<void(const Packet&)> on_drop = {});
+  /// drops it, traversal ends (the trace hook reports the drop and its
+  /// cause). Delivery invokes the handler registered by the destination NIC.
+  void send(Packet packet);
 
   /// The destination-side delivery hook; installed by Nic.
   using DeliveryHandler = std::function<void(const Packet&)>;
@@ -177,18 +186,41 @@ class Fabric {
   [[nodiscard]] const FabricStats& stats() const { return stats_; }
 
  private:
-  void forward(Packet packet, const std::vector<LinkId>& route,
-               std::size_t hop, std::function<void(const Packet&)> on_drop);
-  /// Star-topology forwarding without a route table: hop 0 = sender's
-  /// uplink, hop 1 = destination's downlink, hop 2 = delivery.
-  void forward_star(Packet packet, std::size_t hop,
-                    std::function<void(const Packet&)> on_drop);
+  static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
+
+  /// A packet on a link, waiting for its exit. `route` is null on implicit
+  /// star routes; `next` threads the link's FIFO.
+  struct InFlight {
+    Packet packet;
+    SimTime exit;
+    std::uint64_t seq = 0;  // reserved at admission, the exit event's key
+    const std::vector<LinkId>* route = nullptr;
+    std::uint32_t hop = 0;
+    std::uint32_t next = kNoEntry;
+  };
+  /// A link's FIFO of in-flight entries, oldest first.
+  struct LinkQueue {
+    std::uint32_t head = kNoEntry;
+    std::uint32_t tail = kNoEntry;
+  };
+
+  /// Sends the packet over hop `hop` of its route, or delivers it past the
+  /// last hop. A null `route` is the implicit star: hop 0 = the sender's
+  /// uplink, hop 1 = the destination's downlink, hop 2 = delivery.
+  void forward(Packet&& packet, const std::vector<LinkId>* route,
+               std::uint32_t hop);
+  /// Schedules link `id`'s one exit event, for its new head `entry`.
+  void arm(LinkId id, std::uint32_t entry);
+  /// The exit event of link `id`: its head packet leaves for the next hop.
+  void on_exit(LinkId id);
   void deliver(const Packet& packet);
   void count_drop(DropCause cause);
 
   sim::Engine& engine_;
   std::vector<std::string> node_names_;
   std::vector<std::unique_ptr<Link>> links_;
+  std::vector<LinkQueue> queues_;  // indexed by LinkId
+  Slab<InFlight> in_flight_;       // sized by the peak packets in flight
   std::map<std::pair<NodeId, NodeId>, std::vector<LinkId>> routes_;
   /// Implicit star routing (build_star): per-node (uplink, downlink) port
   /// pairs, indexed by NodeId. Empty when no star was built.

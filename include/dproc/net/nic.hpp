@@ -74,7 +74,7 @@ class Nic {
   void bind_tcp_listener(Port port, SynHandler handler);
 
   /// Raw packet injection used by the TCP layer; accounts NIC tx bytes.
-  void send_packet(Packet packet, std::function<void(const Packet&)> on_drop = {});
+  void send_packet(Packet packet);
 
   /// Enumerates live TCP connections (for NET_MON).
   [[nodiscard]] std::vector<TcpConnection*> tcp_connections() const;

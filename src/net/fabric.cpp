@@ -19,8 +19,7 @@ const char* to_string(DropCause cause) {
   return "?";
 }
 
-DropCause Link::transmit(const Packet& packet,
-                         std::function<void(const Packet&)> on_exit) {
+DropCause Link::transmit(const Packet& packet, SimTime& exit) {
   const std::uint64_t wire = packet.wire_bytes();
   // Evaluation order matters for determinism: the loss RNG must only be
   // consulted for packets that would otherwise be accepted, exactly as
@@ -46,10 +45,7 @@ DropCause Link::transmit(const Packet& packet,
   ++stats_.packets_sent;
   stats_.bytes_sent += wire;
 
-  const SimTime exit_time = busy_until_ + config_.propagation;
-  engine_.schedule_at(exit_time, [packet, on_exit = std::move(on_exit)] {
-    on_exit(packet);
-  });
+  exit = busy_until_ + config_.propagation;
   return DropCause::kNone;
 }
 
@@ -77,6 +73,7 @@ bool Fabric::node_down(NodeId node) const { return node_down_.at(node); }
 LinkId Fabric::add_link(LinkConfig config) {
   const auto id = static_cast<LinkId>(links_.size());
   links_.push_back(std::make_unique<Link>(engine_, config));
+  queues_.emplace_back();
   return id;
 }
 
@@ -95,7 +92,8 @@ std::vector<std::pair<LinkId, LinkId>> Fabric::build_star(
     (void)node;
     ports.emplace_back(add_link(config), add_link(config));
   }
-  // Routes stay implicit (derived per packet in forward_star): the port
+  // Routes stay implicit (derived per packet by forward() given a null
+  // route): the port
   // table is O(N) where the explicit (src, dst) map would be O(N²) —
   // gigabytes at 4096 nodes. star_ports_ is indexed by NodeId, so pad for
   // any nodes added before this call that are not part of the star.
@@ -128,7 +126,7 @@ void Fabric::count_drop(DropCause cause) {
   }
 }
 
-void Fabric::send(Packet packet, std::function<void(const Packet&)> on_drop) {
+void Fabric::send(Packet packet) {
   ++stats_.packets_sent;
   if (trace_) trace_(TraceEvent::kSend, DropCause::kNone, packet, engine_.now());
   if (node_down_.at(packet.src)) {
@@ -136,7 +134,6 @@ void Fabric::send(Packet packet, std::function<void(const Packet&)> on_drop) {
     if (trace_) {
       trace_(TraceEvent::kDrop, DropCause::kNodeDown, packet, engine_.now());
     }
-    if (on_drop) on_drop(packet);
     return;
   }
   if (packet.src == packet.dst) {
@@ -154,13 +151,13 @@ void Fabric::send(Packet packet, std::function<void(const Packet&)> on_drop) {
   }
   auto it = routes_.find({packet.src, packet.dst});
   if (it != routes_.end()) {
-    forward(std::move(packet), it->second, 0, std::move(on_drop));
+    forward(std::move(packet), &it->second, 0);
     return;
   }
   if (packet.src < star_ports_.size() && packet.dst < star_ports_.size() &&
       star_ports_[packet.src].first != std::numeric_limits<LinkId>::max() &&
       star_ports_[packet.dst].second != std::numeric_limits<LinkId>::max()) {
-    forward_star(std::move(packet), 0, std::move(on_drop));
+    forward(std::move(packet), nullptr, 0);
     return;
   }
   throw std::logic_error{"Fabric::send: no route " + node_name(packet.src) +
@@ -182,9 +179,10 @@ void Fabric::deliver(const Packet& packet) {
   }
 }
 
-void Fabric::forward_star(Packet packet, std::size_t hop,
-                          std::function<void(const Packet&)> on_drop) {
-  if (hop == 2) {
+void Fabric::forward(Packet&& packet, const std::vector<LinkId>* route,
+                     std::uint32_t hop) {
+  const std::size_t hops = route != nullptr ? route->size() : 2;
+  if (hop == hops) {
     if (node_down_.at(packet.dst)) {
       count_drop(DropCause::kNodeDown);
       if (trace_) {
@@ -195,43 +193,50 @@ void Fabric::forward_star(Packet packet, std::size_t hop,
     deliver(packet);
     return;
   }
-  const LinkId id = hop == 0 ? star_ports_[packet.src].first
-                             : star_ports_[packet.dst].second;
-  Link& link = *links_.at(id);
-  const DropCause verdict =
-      link.transmit(packet, [this, hop, on_drop](const Packet& p) {
-        forward_star(p, hop + 1, on_drop);
-      });
+  const LinkId id = route != nullptr ? (*route)[hop]
+                    : hop == 0       ? star_ports_[packet.src].first
+                                     : star_ports_[packet.dst].second;
+  SimTime exit;
+  const DropCause verdict = links_.at(id)->transmit(packet, exit);
   if (verdict != DropCause::kNone) {
     count_drop(verdict);
     if (trace_) trace_(TraceEvent::kDrop, verdict, packet, engine_.now());
-    if (on_drop) on_drop(packet);
+    return;
   }
+  // The seq the packet's own exit event would have taken here.
+  const std::uint64_t seq = engine_.reserve_seq();
+  const std::uint32_t entry = in_flight_.acquire();
+  in_flight_[entry] = InFlight{std::move(packet), exit, seq, route, hop, kNoEntry};
+  LinkQueue& queue = queues_[id];
+  if (queue.head == kNoEntry) {
+    queue.head = entry;
+    arm(id, entry);
+  } else {
+    in_flight_[queue.tail].next = entry;
+  }
+  queue.tail = entry;
 }
 
-void Fabric::forward(Packet packet, const std::vector<LinkId>& route,
-                     std::size_t hop, std::function<void(const Packet&)> on_drop) {
-  if (hop == route.size()) {
-    if (node_down_.at(packet.dst)) {
-      count_drop(DropCause::kNodeDown);
-      if (trace_) {
-        trace_(TraceEvent::kDrop, DropCause::kNodeDown, packet, engine_.now());
-      }
-      return;  // vanished at the dead NIC
-    }
-    deliver(packet);
-    return;
+void Fabric::arm(LinkId id, std::uint32_t entry) {
+  const InFlight& head = in_flight_[entry];
+  engine_.schedule_at(head.exit, head.seq, [this, id] { on_exit(id); });
+}
+
+void Fabric::on_exit(LinkId id) {
+  LinkQueue& queue = queues_[id];
+  const std::uint32_t entry = queue.head;
+  InFlight& done = in_flight_[entry];
+  queue.head = done.next;
+  if (queue.head == kNoEntry) {
+    queue.tail = kNoEntry;
+  } else {
+    arm(id, queue.head);
   }
-  Link& link = *links_.at(route[hop]);
-  const DropCause verdict = link.transmit(
-      packet, [this, &route, hop, on_drop](const Packet& p) {
-        forward(p, route, hop + 1, on_drop);
-      });
-  if (verdict != DropCause::kNone) {
-    count_drop(verdict);
-    if (trace_) trace_(TraceEvent::kDrop, verdict, packet, engine_.now());
-    if (on_drop) on_drop(packet);
-  }
+  Packet packet = std::move(done.packet);
+  const std::vector<LinkId>* route = done.route;
+  const std::uint32_t next_hop = done.hop + 1;
+  in_flight_.release(entry);
+  forward(std::move(packet), route, next_hop);
 }
 
 }  // namespace dproc::net

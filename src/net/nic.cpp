@@ -50,9 +50,9 @@ void Nic::send_datagram(NodeId dst, Port dst_port, const MessagePtr& message,
   }
 }
 
-void Nic::send_packet(Packet packet, std::function<void(const Packet&)> on_drop) {
+void Nic::send_packet(Packet packet) {
   stats_.bytes_sent += packet.wire_bytes();
-  fabric_.send(std::move(packet), std::move(on_drop));
+  fabric_.send(std::move(packet));
 }
 
 const DatagramFlowStats* Nic::datagram_flow(NodeId from, Port from_port) const {

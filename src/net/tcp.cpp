@@ -69,7 +69,7 @@ void TcpConnection::start_handshake(std::function<void()> on_established) {
 void TcpConnection::become_established() {
   if (established_) return;
   established_ = true;
-  rto_event_.cancel();
+  cancel_rto();  // also resets the handle, so the first flight arms its RTO
   rto_ = config_.min_rto;
   if (on_established_) {
     auto fn = std::move(on_established_);

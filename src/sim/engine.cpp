@@ -1,130 +1,106 @@
 #include "dproc/sim/engine.hpp"
 
-#include <stdexcept>
-#include <utility>
+#include <algorithm>
 
 namespace dproc::sim {
 
-std::size_t Engine::heap_push(Scheduled&& ev) {
-  heap_.push_back(std::move(ev));
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
+Engine::~Engine() {
+  // Keys first, so nothing can fire any more. Then each callable is
+  // destroyed with the slab intact: a destructor may cancel() other events
+  // (a connection's RTO handle) or drop the last owner of one that does.
+  heap_.clear();
+  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
+    if (slots_[i].ops != nullptr) release(i);
   }
-  return i;
 }
 
-Engine::Scheduled Engine::heap_pop() {
-  Scheduled top = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
-  heap_.pop_back();
-  std::size_t i = 0;
-  const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = left + 1;
-    std::size_t smallest = i;
-    if (left < n && before(heap_[left], heap_[smallest])) smallest = left;
-    if (right < n && before(heap_[right], heap_[smallest])) smallest = right;
-    if (smallest == i) break;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
+// Both sifts move a hole instead of swapping, and compare (when, seq), which
+// is unique per key — so the pop order does not depend on the heap's shape.
+void Engine::heap_push(const Key& key) {
+  std::size_t i = heap_.size();
+  heap_.push_back(key);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 4;
+    if (!before(key, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
   }
+  heap_[i] = key;
+}
+
+Engine::Key Engine::heap_pop() {
+  const Key top = heap_.front();
+  const Key last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return top;
+  std::size_t i = 0;
+  while (true) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    const std::size_t end = std::min(first + 4, n);
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[best])) best = c;
+    }
+    if (!before(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = last;
   return top;
 }
 
-EventHandle Engine::materialize(std::uint64_t seq, std::size_t hint) {
-  Scheduled* ev = nullptr;
-  if (hint < heap_.size() && heap_[hint].seq == seq) {
-    ev = &heap_[hint];
-  } else {
-    // The hint goes stale as soon as later queue operations move nodes
-    // around; handles are almost always taken immediately after
-    // scheduling, so this scan is the rare path.
-    for (Scheduled& candidate : heap_) {
-      if (candidate.seq == seq) {
-        ev = &candidate;
-        break;
-      }
-    }
-  }
-  if (ev == nullptr) {
-    // Already fired (or was popped): hand out a flag nobody checks, so
-    // cancel() stays a safe no-op and valid() stays true.
-    ++flag_allocs_;
-    return EventHandle{std::make_shared<bool>(false)};
-  }
-  if (!ev->cancelled) {
-    ev->cancelled = std::make_shared<bool>(false);
-    ++flag_allocs_;
-  }
-  return EventHandle{ev->cancelled};
+void Engine::release(std::uint32_t index) {
+  Slot& slot = slots_[index];
+  const Ops* ops = slot.ops;
+  slot.ops = nullptr;
+  ++slot.gen;
+  // Destroy before freeing: the destructor may schedule, and must not be
+  // handed the slot it is still running in.
+  ops->destroy(slot.storage);
+  slots_.release(index);
 }
 
-PendingEvent Engine::schedule_at(SimTime when, Callback fn) {
-  if (when < now_) {
-    throw std::invalid_argument{"Engine::schedule_at: time in the past"};
-  }
-  const std::uint64_t seq = next_seq_++;
-  const std::size_t at = heap_push(Scheduled{when, seq, nullptr, std::move(fn)});
-  return PendingEvent{this, seq, at};
-}
-
-PendingEvent Engine::schedule_after(SimDuration delay, Callback fn) {
-  if (delay < SimDuration::zero()) delay = SimDuration::zero();
-  return schedule_at(now_ + delay, std::move(fn));
-}
-
-EventHandle Engine::schedule_periodic(SimDuration period, Callback fn) {
-  if (period <= SimDuration::zero()) {
-    throw std::invalid_argument{"Engine::schedule_periodic: period must be > 0"};
-  }
-  auto flag = std::make_shared<bool>(false);
-  ++flag_allocs_;
-  // The wrapper owns the user callback and re-arms itself each period. It
-  // captures itself weakly — the pending queue entry holds the only strong
-  // reference — so cancelling (or destroying the engine) drops the last
-  // queue entry and with it the whole chain; a self-referential strong
-  // capture would cycle and never free.
-  auto tick = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> weak = tick;
-  *tick = [this, period, flag, weak, fn = std::move(fn)]() {
-    if (*flag) return;
-    fn();
-    if (*flag) return;  // fn may have cancelled its own timer
-    if (auto self = weak.lock()) {
-      heap_push(Scheduled{now_ + period, next_seq_++, flag,
-                          [self] { (*self)(); }});
-    }
-  };
-  heap_push(Scheduled{now_ + period, next_seq_++, flag, [tick] { (*tick)(); }});
-  return EventHandle{std::move(flag)};
-}
-
-void Engine::fire(Scheduled&& ev) {
-  now_ = ev.when;
-  if (ev.cancelled && *ev.cancelled) return;
+void Engine::fire(const Key& key) {
   ++processed_;
-  ev.fn();
+  fired_when_ns_ = key.when_ns;
+  fired_seq_ = key.seq;
+  // Slots never move and this one stays taken until released below, so the
+  // reference survives whatever the callback schedules or cancels.
+  Slot& slot = slots_[key.slot];
+  slot.ops->invoke(slot.storage);
+  if (slot.period_ns > 0 && slot.gen == key.gen) {
+    heap_push(Key{now_.ns() + slot.period_ns, next_seq_++, key.slot, key.gen});
+  } else {
+    release(key.slot);
+  }
 }
 
 bool Engine::step() {
-  // Skip cancelled entries without counting them as processed events.
+  // Skip cancelled keys without counting them as processed events.
   while (!heap_.empty()) {
-    Scheduled ev = heap_pop();
-    if (ev.cancelled && *ev.cancelled) continue;
-    fire(std::move(ev));
+    const Key key = heap_pop();
+    if (cancelled(key)) {
+      release(key.slot);
+      continue;
+    }
+    now_ = SimTime{key.when_ns};
+    fire(key);
     return true;
   }
   return false;
 }
 
 void Engine::run_until(SimTime deadline) {
-  while (!heap_.empty() && heap_.front().when <= deadline) {
-    fire(heap_pop());
+  while (!heap_.empty() && heap_.front().when_ns <= deadline.ns()) {
+    const Key key = heap_pop();
+    now_ = SimTime{key.when_ns};
+    if (cancelled(key)) {
+      release(key.slot);
+    } else {
+      fire(key);
+    }
   }
   if (now_ < deadline) now_ = deadline;
 }

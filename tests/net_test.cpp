@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "dproc/net/fabric.hpp"
 #include "dproc/net/nic.hpp"
@@ -55,8 +57,35 @@ TEST(Wire, CorruptStringLengthDetected) {
 
 class FabricTest : public ::testing::Test {
  protected:
+  /// One dropped packet as the trace hook reports it.
+  struct Drop {
+    std::uint64_t seq;
+    DropCause cause;
+  };
+
+  /// Records every drop the fabric traces, in order, into `drops`.
+  void record_drops() {
+    fabric.set_trace_hook([this](Fabric::TraceEvent event, DropCause cause,
+                                 const Packet& p, SimTime) {
+      if (event == Fabric::TraceEvent::kDrop) drops.push_back({p.seq, cause});
+    });
+  }
+
+  /// Checks that no packet was dropped twice and every drop had `cause`.
+  void expect_unique_drops(DropCause cause) const {
+    std::vector<std::uint64_t> seqs;
+    for (const Drop& drop : drops) {
+      EXPECT_EQ(drop.cause, cause) << "packet " << drop.seq;
+      seqs.push_back(drop.seq);
+    }
+    std::sort(seqs.begin(), seqs.end());
+    EXPECT_EQ(std::adjacent_find(seqs.begin(), seqs.end()), seqs.end())
+        << "a packet must be dropped at most once";
+  }
+
   sim::Engine engine;
   Fabric fabric{engine};
+  std::vector<Drop> drops;
 };
 
 TEST_F(FabricTest, StarDeliversWithSerializationAndPropagation) {
@@ -110,22 +139,26 @@ TEST_F(FabricTest, TailDropWhenBufferFull) {
   small.buffer_bytes = 4000;
   fabric.build_star({a, b}, small);
 
-  int dropped = 0, delivered = 0;
+  int delivered = 0;
   fabric.set_delivery_handler(b, [&](const Packet&) { ++delivered; });
+  record_drops();
   for (int i = 0; i < 10; ++i) {
     Packet p;
     p.src = a;
     p.dst = b;
+    p.seq = static_cast<std::uint64_t>(i);
     p.payload_bytes = 1442;
-    fabric.send(p, [&](const Packet&) { ++dropped; });
+    fabric.send(p);
   }
   engine.run();
+  expect_unique_drops(DropCause::kBufferFull);
+  const auto dropped = static_cast<int>(drops.size());
   EXPECT_GT(dropped, 0);
   EXPECT_GT(delivered, 0);
   EXPECT_EQ(dropped + delivered, 10);
 }
 
-TEST_F(FabricTest, TailDropFiresOnDropExactlyOnceAndStatsMatch) {
+TEST_F(FabricTest, TailDropTracedExactlyOnceAndStatsMatch) {
   const NodeId a = fabric.add_node("a");
   const NodeId b = fabric.add_node("b");
   LinkConfig small;
@@ -135,24 +168,21 @@ TEST_F(FabricTest, TailDropFiresOnDropExactlyOnceAndStatsMatch) {
 
   constexpr int kPackets = 10;
   constexpr std::uint32_t kPayload = 1442;
-  std::vector<int> drop_calls(kPackets, 0);
   int delivered = 0;
   fabric.set_delivery_handler(b, [&](const Packet&) { ++delivered; });
+  record_drops();
   for (int i = 0; i < kPackets; ++i) {
     Packet p;
     p.src = a;
     p.dst = b;
     p.seq = static_cast<std::uint64_t>(i);
     p.payload_bytes = kPayload;
-    fabric.send(p, [&](const Packet& dropped) { ++drop_calls[dropped.seq]; });
+    fabric.send(p);
   }
   engine.run();
 
-  int total_drops = 0;
-  for (int calls : drop_calls) {
-    EXPECT_LE(calls, 1) << "on_drop must fire at most once per packet";
-    total_drops += calls;
-  }
+  expect_unique_drops(DropCause::kBufferFull);
+  const auto total_drops = static_cast<int>(drops.size());
   EXPECT_GT(total_drops, 0);
   EXPECT_EQ(total_drops + delivered, kPackets);
   const LinkStats& stats = fabric.link(ab).stats();
@@ -174,17 +204,21 @@ TEST_F(FabricTest, MultiHopDropEndsTraversal) {
   const LinkId second = fabric.add_link(LinkConfig{});
   fabric.set_route(a, b, {first, second});
 
-  int dropped = 0, delivered = 0;
+  int delivered = 0;
   fabric.set_delivery_handler(b, [&](const Packet&) { ++delivered; });
+  record_drops();
   for (int i = 0; i < 10; ++i) {
     Packet p;
     p.src = a;
     p.dst = b;
+    p.seq = static_cast<std::uint64_t>(i);
     p.payload_bytes = 1442;
-    fabric.send(p, [&](const Packet&) { ++dropped; });
+    fabric.send(p);
   }
   engine.run();
 
+  expect_unique_drops(DropCause::kBufferFull);
+  const auto dropped = static_cast<int>(drops.size());
   EXPECT_GT(dropped, 0);
   EXPECT_EQ(dropped + delivered, 10);
   EXPECT_EQ(fabric.link(first).stats().packets_dropped,
@@ -201,28 +235,68 @@ TEST_F(FabricTest, DownLinkDropsEverythingUntilHealed) {
   const LinkId ab = fabric.add_link(LinkConfig{});
   fabric.set_route(a, b, {ab});
 
-  int dropped = 0, delivered = 0;
+  int delivered = 0;
   fabric.set_delivery_handler(b, [&](const Packet&) { ++delivered; });
+  record_drops();
+  std::uint64_t next_seq = 0;
   auto send_one = [&] {
     Packet p;
     p.src = a;
     p.dst = b;
+    p.seq = next_seq++;
     p.payload_bytes = 100;
-    fabric.send(p, [&](const Packet&) { ++dropped; });
+    fabric.send(p);
   };
 
   fabric.set_link_down(ab, true);
   send_one();
   engine.run();
-  EXPECT_EQ(dropped, 1);
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].seq, 0u);
   EXPECT_EQ(delivered, 0);
   EXPECT_EQ(fabric.link(ab).stats().packets_dropped, 1u);
 
   fabric.set_link_down(ab, false);
   send_one();
   engine.run();
-  EXPECT_EQ(dropped, 1);
+  EXPECT_EQ(drops.size(), 1u);
   EXPECT_EQ(delivered, 1);
+  expect_unique_drops(DropCause::kLinkDown);
+}
+
+TEST_F(FabricTest, LinkDownKeepsPacketsAlreadyOnIt) {
+  // A cable pull drops what is offered from then on; packets the link had
+  // already admitted are on the wire and still exit and arrive, in order.
+  const NodeId a = fabric.add_node("a");
+  const NodeId b = fabric.add_node("b");
+  const LinkId ab = fabric.add_link(LinkConfig{});
+  fabric.set_route(a, b, {ab});
+
+  std::vector<std::uint64_t> delivered;
+  fabric.set_delivery_handler(
+      b, [&](const Packet& p) { delivered.push_back(p.seq); });
+  record_drops();
+  auto send = [&](std::uint64_t seq) {
+    Packet p;
+    p.src = a;
+    p.dst = b;
+    p.seq = seq;
+    p.payload_bytes = 1000;
+    fabric.send(p);
+  };
+  for (std::uint64_t seq = 0; seq < 5; ++seq) send(seq);
+  fabric.set_link_down(ab, true);
+  for (std::uint64_t seq = 5; seq < 8; ++seq) send(seq);
+  engine.run();
+
+  EXPECT_EQ(delivered, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(drops.size(), 3u);
+  for (std::size_t i = 0; i < drops.size(); ++i) {
+    EXPECT_EQ(drops[i].seq, 5 + i);
+  }
+  expect_unique_drops(DropCause::kLinkDown);
+  EXPECT_EQ(fabric.link(ab).stats().packets_sent, 5u);
+  EXPECT_EQ(fabric.link(ab).stats().packets_dropped, 3u);
 }
 
 TEST_F(FabricTest, LossBurstIsSeededAndDeterministic) {
@@ -375,7 +449,7 @@ class NicTest : public ::testing::Test {
   NicTest() {
     a = fabric.add_node("a");
     b = fabric.add_node("b");
-    fabric.build_star({a, b}, LinkConfig{});
+    ports = fabric.build_star({a, b}, LinkConfig{});
     nic_a = std::make_unique<Nic>(fabric, a);
     nic_b = std::make_unique<Nic>(fabric, b);
   }
@@ -383,6 +457,7 @@ class NicTest : public ::testing::Test {
   sim::Engine engine;
   Fabric fabric{engine};
   NodeId a{}, b{};
+  std::vector<std::pair<LinkId, LinkId>> ports;  // (uplink, downlink)
   std::unique_ptr<Nic> nic_a, nic_b;
 };
 
@@ -551,6 +626,31 @@ TEST_F(TcpTest, RecoversFromLossAndCountsRetransmissions) {
   client->send(make_message({}, 2'000'000));
   eng.run_until(SimTime{} + seconds(30.0));
   EXPECT_EQ(got, 2'000'000u) << "reliable delivery despite drops";
+  EXPECT_GT(client->stats().retransmissions, 0u);
+}
+
+TEST_F(TcpTest, FirstFlightAfterHandshakeRecoversByTimeout) {
+  // The handshake's SYN retry timer is cancelled on establishment. The
+  // first data flight must still arm its own retransmission timer: with
+  // every segment of it lost and nothing else to send, only a timeout can
+  // recover it.
+  std::uint64_t got = 0;
+  TcpListener listener{*nic_b, 80, TcpConfig{},
+                       [&](TcpConnection::Ptr conn) {
+                         conn->set_message_handler(
+                             [&](const MessagePtr& m) { got += m->size(); });
+                       }};
+  auto client = TcpConnection::connect(*nic_a, b, 80);
+  engine.run();
+  ASSERT_TRUE(client->established());
+
+  const LinkId uplink = ports[0].first;
+  fabric.set_link_down(uplink, true);
+  client->send(make_message({}, 4096));
+  engine.schedule_after(milliseconds(1.0),
+                        [&] { fabric.set_link_down(uplink, false); });
+  engine.run_until(engine.now() + seconds(5.0));
+  EXPECT_EQ(got, 4096u);
   EXPECT_GT(client->stats().retransmissions, 0u);
 }
 

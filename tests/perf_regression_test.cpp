@@ -2,8 +2,9 @@
 //
 // These pin the properties the perf overhaul is built on: a warm Vm::run
 // allocates nothing, a Vm is re-entrant (same program, same input, same
-// result on every call), and fire-and-forget scheduling never materializes
-// a cancel flag. The alloc counter comes from bench/alloc_counter.cpp,
+// result on every call), and once the engine's slab and the fabric's
+// in-flight pool have grown, scheduling, cancelling and forwarding packets
+// allocate nothing. The alloc counter comes from bench/alloc_counter.cpp,
 // whose global operator new/delete override counts every heap allocation
 // in the test binary.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "../bench/alloc_counter.hpp"
 #include "dproc/core/cluster.hpp"
 #include "dproc/ecode/ecode.hpp"
+#include "dproc/net/fabric.hpp"
 #include "dproc/sim/engine.hpp"
 
 namespace {
@@ -177,29 +179,79 @@ TEST(PerfRegressionTest, BatchedPublishingAllocatesNoMoreThanPerModule) {
       << " over the same simulated window";
 }
 
-TEST(PerfRegressionTest, FireAndForgetScheduleAllocatesNoCancelFlags) {
+TEST(PerfRegressionTest, WarmFireAndForgetScheduleAllocatesNothing) {
   dproc::sim::Engine engine;
   int fired = 0;
-  for (int i = 0; i < 100; ++i) {
-    engine.schedule_after(dproc::milliseconds(1.0 + i), [&] { ++fired; });
-  }
+  auto schedule_100 = [&] {
+    for (int i = 0; i < 100; ++i) {
+      engine.schedule_after(dproc::milliseconds(1.0 + i), [&] { ++fired; });
+    }
+  };
+  schedule_100();  // warm-up: grows the slab and the key heap
   engine.run();
-  EXPECT_EQ(fired, 100);
-  EXPECT_EQ(engine.cancel_flags_allocated(), 0u)
-      << "discarded PendingEvents must not allocate cancel flags";
+
+  const std::uint64_t before = dproc::bench::alloc_count();
+  schedule_100();
+  engine.run();
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
+      << "warm fire-and-forget scheduling must not touch the heap";
+  EXPECT_EQ(fired, 200);
 }
 
-TEST(PerfRegressionTest, RetainedHandleAllocatesExactlyOneFlag) {
+TEST(PerfRegressionTest, RetainedHandleAndCancelAllocateNothing) {
   dproc::sim::Engine engine;
   int fired = 0;
   engine.schedule_after(dproc::milliseconds(1.0), [&] { ++fired; });
+  engine.schedule_after(dproc::milliseconds(2.0), [&] { ++fired; });
+  engine.run();  // warm-up
+  fired = 0;
+
+  const std::uint64_t before = dproc::bench::alloc_count();
+  engine.schedule_after(dproc::milliseconds(1.0), [&] { ++fired; });
   dproc::sim::EventHandle handle =
       engine.schedule_after(dproc::milliseconds(2.0), [&] { ++fired; });
-  EXPECT_EQ(engine.cancel_flags_allocated(), 1u);
   handle.cancel();
   engine.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(engine.cancel_flags_allocated(), 1u);
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
+      << "a retained handle and its cancel() must not touch the heap";
+  EXPECT_EQ(fired, 1) << "the cancelled event must not fire";
+  EXPECT_EQ(engine.cancel_flags_allocated(), 0u);
+}
+
+TEST(PerfRegressionTest, WarmPacketBurstThroughStarAllocatesNothing) {
+  dproc::sim::Engine engine;
+  dproc::net::Fabric fabric{engine};
+  std::vector<dproc::net::NodeId> nodes;
+  for (int i = 0; i < 4; ++i) {
+    nodes.push_back(fabric.add_node("n" + std::to_string(i)));
+  }
+  fabric.build_star(nodes, dproc::net::LinkConfig{});
+  std::uint64_t delivered = 0;
+  for (dproc::net::NodeId node : nodes) {
+    fabric.set_delivery_handler(
+        node, [&](const dproc::net::Packet&) { ++delivered; });
+  }
+  // 1000 packets, each over two hops (sender uplink, receiver downlink),
+  // from every node to every other node in turn.
+  auto burst = [&] {
+    for (int i = 0; i < 1000; ++i) {
+      dproc::net::Packet p;
+      p.src = nodes[i % 4];
+      p.dst = nodes[(i + 1 + i / 4 % 3) % 4];
+      p.payload_bytes = 200;
+      fabric.send(p);
+    }
+    engine.run();
+  };
+  burst();  // warm-up: grows the in-flight pool, the slab and the key heap
+  const std::uint64_t first = delivered;
+
+  const std::uint64_t before = dproc::bench::alloc_count();
+  burst();
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
+      << "a warm burst must not touch the heap in Fabric::send or Engine::run";
+  EXPECT_EQ(first, 1000u);
+  EXPECT_EQ(delivered, 2000u);
 }
 
 }  // namespace

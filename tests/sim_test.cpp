@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <memory>
+#include <random>
 #include <vector>
 
 #include "dproc/sim/engine.hpp"
@@ -174,6 +180,264 @@ TEST(Engine, DefaultHandleIsInert) {
   EventHandle handle;
   EXPECT_FALSE(handle.valid());
   handle.cancel();  // no-op
+}
+
+TEST(Engine, HandleStaysValidAfterFireUntilReset) {
+  Engine engine;
+  EventHandle handle = engine.schedule_after(seconds(1.0), [] {});
+  engine.run();
+  EXPECT_TRUE(handle.valid());
+  handle = {};
+  EXPECT_FALSE(handle.valid());
+}
+
+// --- reserved seqs --------------------------------------------------------
+
+// One scheduling decision, taken by a tick event: a plain event (stream -1)
+// or the next event of a stream whose times never decrease.
+struct Action {
+  int stream;
+  std::int64_t when;
+};
+
+constexpr int kStreams = 3;
+constexpr std::int64_t kTickNs = 10;
+
+std::vector<std::vector<Action>> random_plan(std::uint64_t seed) {
+  std::mt19937_64 rng{seed};
+  std::vector<std::int64_t> last(kStreams, 0);
+  std::vector<std::vector<Action>> plan(200);
+  for (std::size_t tick = 0; tick < plan.size(); ++tick) {
+    const auto now = static_cast<std::int64_t>(tick) * kTickNs;
+    const auto actions = rng() % 5;
+    for (std::uint64_t k = 0; k < actions; ++k) {
+      // Delays on a coarse grid, so timestamps collide across streams,
+      // with plain events and with the ticks themselves.
+      const auto when = now + static_cast<std::int64_t>(rng() % 4) * kTickNs;
+      const int stream = static_cast<int>(rng() % (kStreams + 1)) - 1;
+      if (stream < 0) {
+        plan[tick].push_back({-1, when});
+      } else {
+        last[stream] = std::max(last[stream], when);
+        plan[tick].push_back({stream, last[stream]});
+      }
+    }
+  }
+  return plan;
+}
+
+/// Every event scheduled when decided: the reference order.
+std::vector<int> fire_eagerly(const std::vector<std::vector<Action>>& plan) {
+  Engine engine;
+  std::vector<int> fired;
+  for (std::size_t tick = 0; tick < plan.size(); ++tick) {
+    engine.schedule_at(SimTime{static_cast<std::int64_t>(tick) * kTickNs},
+                       [&, tick] {
+                         for (std::size_t k = 0; k < plan[tick].size(); ++k) {
+                           const int label = static_cast<int>(tick * 100 + k);
+                           engine.schedule_at(SimTime{plan[tick][k].when},
+                                              [&fired, label] {
+                                                fired.push_back(label);
+                                              });
+                         }
+                       });
+  }
+  engine.run();
+  return fired;
+}
+
+/// Stream events wait in per-stream FIFOs with a reserved seq; only each
+/// stream's head is queued, and it re-arms the next head when it fires.
+std::vector<int> fire_through_reserved_seqs(
+    const std::vector<std::vector<Action>>& plan) {
+  struct Waiting {
+    std::int64_t when;
+    std::uint64_t seq;
+    int label;
+  };
+  Engine engine;
+  std::vector<int> fired;
+  std::vector<std::deque<Waiting>> streams(kStreams);
+  std::function<void(int)> fire_head = [&](int stream) {
+    std::deque<Waiting>& queue = streams[stream];
+    fired.push_back(queue.front().label);
+    queue.pop_front();
+    if (!queue.empty()) {
+      engine.schedule_at(SimTime{queue.front().when}, queue.front().seq,
+                         [&fire_head, stream] { fire_head(stream); });
+    }
+  };
+  for (std::size_t tick = 0; tick < plan.size(); ++tick) {
+    engine.schedule_at(
+        SimTime{static_cast<std::int64_t>(tick) * kTickNs}, [&, tick] {
+          for (std::size_t k = 0; k < plan[tick].size(); ++k) {
+            const Action& action = plan[tick][k];
+            const int label = static_cast<int>(tick * 100 + k);
+            if (action.stream < 0) {
+              engine.schedule_at(SimTime{action.when},
+                                 [&fired, label] { fired.push_back(label); });
+              continue;
+            }
+            std::deque<Waiting>& queue = streams[action.stream];
+            queue.push_back({action.when, engine.reserve_seq(), label});
+            if (queue.size() == 1) {
+              engine.schedule_at(SimTime{action.when}, queue.front().seq,
+                                 [&fire_head, stream = action.stream] {
+                                   fire_head(stream);
+                                 });
+            }
+          }
+        });
+  }
+  engine.run();
+  return fired;
+}
+
+TEST(Engine, ReservedSeqStreamsFireInEagerOrder) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto plan = random_plan(seed);
+    const std::vector<int> eager = fire_eagerly(plan);
+    ASSERT_GT(eager.size(), 300u);
+    EXPECT_EQ(fire_through_reserved_seqs(plan), eager) << "seed " << seed;
+  }
+}
+
+TEST(Engine, ReservedKeyNotAfterTheLastFiredEventThrows) {
+  Engine engine;
+  const std::uint64_t early = engine.reserve_seq();
+  bool checked = false;
+  engine.schedule_at(SimTime{10}, [&] {
+    // The firing event's own time with an older seq: it would fire before
+    // an event that has already fired.
+    EXPECT_THROW(engine.schedule_at(SimTime{10}, early, [] {}),
+                 std::invalid_argument);
+    // A seq that reserve_seq() never handed out.
+    EXPECT_THROW(engine.schedule_at(SimTime{20}, std::uint64_t{1000}, [] {}),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(engine.schedule_at(SimTime{10}, engine.reserve_seq(), [] {}));
+    EXPECT_NO_THROW(engine.schedule_at(SimTime{11}, early, [] {}));
+    checked = true;
+  });
+  engine.run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(engine.events_processed(), 3u);
+  // Past the last event, the clock still bounds a reserved key.
+  engine.run_until(SimTime{100});
+  EXPECT_THROW(engine.schedule_at(SimTime{50}, engine.reserve_seq(), [] {}),
+               std::invalid_argument);
+}
+
+// --- callback lifetimes ---------------------------------------------------
+
+// Owned only by its own pending callback, like a TCP connection whose RTO
+// lambda holds shared_from_this().
+struct OwnedByItsTimer : std::enable_shared_from_this<OwnedByItsTimer> {
+  explicit OwnedByItsTimer(bool& destroyed) : destroyed(destroyed) {}
+  ~OwnedByItsTimer() { destroyed = true; }
+
+  void arm(Engine& engine) {
+    timer = engine.schedule_after(seconds(1.0),
+                                  [self = shared_from_this()] { self->fired = true; });
+  }
+  /// Cancels the timer, then reads this object's own fields.
+  int stop() {
+    timer.cancel();
+    EXPECT_FALSE(destroyed) << "cancel() must not destroy the callback";
+    return value + (fired ? 1 : 0);
+  }
+
+  bool& destroyed;
+  EventHandle timer;
+  bool fired = false;
+  int value = 42;
+};
+
+TEST(Engine, CancelFromMemberOfObjectOwnedOnlyByTheCallback) {
+  Engine engine;
+  bool destroyed = false;
+  OwnedByItsTimer* raw = nullptr;
+  {
+    auto owner = std::make_shared<OwnedByItsTimer>(destroyed);
+    owner->arm(engine);
+    raw = owner.get();
+  }
+  int stopped = 0;
+  engine.schedule_after(seconds(0.5), [&] { stopped = raw->stop(); });
+  engine.run();
+  EXPECT_EQ(stopped, 42);
+  EXPECT_TRUE(destroyed) << "the cancelled callback is freed when it pops";
+}
+
+// Cancels another event from its destructor, as ~TcpConnection does.
+struct CancelsOnDestroy {
+  CancelsOnDestroy(EventHandle* other, int* destroyed)
+      : other(other), destroyed(destroyed) {}
+  CancelsOnDestroy(const CancelsOnDestroy&) = delete;
+  CancelsOnDestroy& operator=(const CancelsOnDestroy&) = delete;
+  ~CancelsOnDestroy() {
+    other->cancel();
+    ++*destroyed;
+  }
+
+  EventHandle* other;
+  int* destroyed;
+};
+
+TEST(Engine, DestructorToleratesCallbacksThatCancelOnDestroy) {
+  constexpr int kEvents = 8;
+  int destroyed = 0;
+  std::vector<EventHandle> handles(kEvents);
+  {
+    Engine engine;
+    for (int i = 0; i < kEvents; ++i) {
+      auto guard = std::make_shared<CancelsOnDestroy>(
+          &handles[(i + 1) % kEvents], &destroyed);
+      if (i % 2 == 0) {
+        handles[i] = engine.schedule_after(seconds(i + 1.0), [guard] {});
+      } else {
+        std::array<std::uint64_t, 16> ballast{};  // too big to store inline
+        handles[i] = engine.schedule_after(seconds(i + 1.0),
+                                           [guard, ballast] { (void)ballast; });
+      }
+    }
+    engine.run_until(SimTime::zero() + seconds(0.5));
+    EXPECT_EQ(destroyed, 0);
+  }
+  EXPECT_EQ(destroyed, kEvents);
+}
+
+TEST(Engine, StaleHandleDoesNotCancelTheSlotsNextEvent) {
+  Engine engine;
+  EventHandle fired_handle = engine.schedule_after(seconds(1.0), [] {});
+  EventHandle cancelled_handle = engine.schedule_after(seconds(1.0), [] {});
+  cancelled_handle.cancel();
+  engine.run();
+
+  // Both slots are free again; the next events take them.
+  int fired = 0;
+  engine.schedule_after(seconds(1.0), [&] { ++fired; });
+  engine.schedule_after(seconds(1.0), [&] { ++fired; });
+  fired_handle.cancel();
+  cancelled_handle.cancel();
+  engine.run();
+  EXPECT_EQ(fired, 2);
+}
+
+TEST(Engine, LargeCallableFiresAndIsFreed) {
+  Engine engine;
+  auto token = std::make_shared<int>(0);
+  std::array<std::uint64_t, 16> payload{};  // 128 bytes: stored out of line
+  payload[15] = 7;
+  std::uint64_t seen = 0;
+  engine.schedule_after(seconds(1.0),
+                        [payload, token, &seen] { seen = payload[15]; });
+  EventHandle cancelled = engine.schedule_after(
+      seconds(2.0), [payload, token, &seen] { seen = payload[0]; });
+  cancelled.cancel();
+  EXPECT_EQ(token.use_count(), 3);
+  engine.run();
+  EXPECT_EQ(seen, 7u);
+  EXPECT_EQ(token.use_count(), 1) << "both callables must be freed";
 }
 
 }  // namespace
