@@ -7,9 +7,11 @@
 // end-to-end delay.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "dproc/net/fabric.hpp"
@@ -76,10 +78,15 @@ class Nic {
   /// Raw packet injection used by the TCP layer; accounts NIC tx bytes.
   void send_packet(Packet packet);
 
-  /// Enumerates live TCP connections (for NET_MON).
-  [[nodiscard]] std::vector<TcpConnection*> tcp_connections() const;
+  /// Live TCP connections in flow-id order (for NET_MON). The view is
+  /// invalidated by the next register_tcp() or unregister_tcp().
+  [[nodiscard]] std::span<TcpConnection* const> tcp_connections() const {
+    return tcp_conns_;
+  }
 
  private:
+  /// Position of `flow_id` in tcp_flow_ids_, or where it would go.
+  [[nodiscard]] std::size_t flow_index(std::uint64_t flow_id) const;
   void on_delivery(const Packet& packet);
   void deliver_datagram(const Packet& packet);
 
@@ -89,7 +96,10 @@ class Nic {
 
   std::map<Port, DatagramHandler> datagram_handlers_;
   std::map<Port, SynHandler> tcp_listeners_;
-  std::map<std::uint64_t, TcpConnection*> tcp_conns_;
+  // The flow table: two parallel arrays sorted by flow id, so a lookup
+  // binary-searches the ids alone and the connections walk in id order.
+  std::vector<std::uint64_t> tcp_flow_ids_;
+  std::vector<TcpConnection*> tcp_conns_;
 
   // Fabric routes are FIFO with no multipath, so datagram fragments never
   // reorder: any sequence gap is a definitive loss. One state machine per

@@ -12,14 +12,15 @@
 // latency blow-up in Figure 10 of the paper.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 
 #include "dproc/net/nic.hpp"
 #include "dproc/net/packet.hpp"
+#include "dproc/util/fifo.hpp"
 #include "dproc/util/stats.hpp"
 #include "dproc/util/time.hpp"
 
@@ -42,7 +43,7 @@ struct TcpStats {
   double srtt_us = 0.0;
   double cwnd_segments = 0.0;
   std::uint64_t in_flight_bytes = 0;
-  std::uint64_t send_queue_bytes = 0;  // segmented-but-unsent + unsegmented
+  std::uint64_t send_queue_bytes = 0;  // queued bytes not yet segmented
 };
 
 class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
@@ -94,6 +95,12 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   enum class Role { kClient, kServer };
 
+  struct Segment {
+    MessagePtr message_end;  // set when this segment carries a message tail
+    std::uint32_t length = 0;
+    std::uint32_t transmit_count = 0;
+  };
+
   TcpConnection(Nic& nic, NodeId remote, Port remote_port, Port local_port,
                 std::uint64_t flow_id, Role role, TcpConfig config);
 
@@ -101,7 +108,7 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void become_established();
 
   void try_transmit();
-  void send_segment(std::uint64_t seq);
+  void send_segment(std::uint64_t seq, Segment& seg);
   void send_ack();
   void on_data(const Packet& packet);
   void on_ack_packet(const Packet& packet);
@@ -127,11 +134,6 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   MessageHandler on_message_;
 
   // --- sender state ---
-  struct Segment {
-    std::uint32_t length;
-    MessagePtr message_end;  // set when this segment carries a message tail
-    std::uint32_t transmit_count = 0;
-  };
   std::uint64_t snd_una_ = 0;   // oldest unacknowledged byte
   std::uint64_t snd_next_ = 0;  // first never-segmented byte
   // Go-back-N send cursor: next byte to (re)transmit. Rewound to snd_una_
@@ -141,8 +143,12 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   // Recovery guard (NewReno-flavoured): dup-ack bursts that belong to one
   // loss event must not trigger repeated window collapses.
   std::uint64_t recover_ = 0;
-  std::map<std::uint64_t, Segment> unacked_;  // keyed by first byte offset
-  std::deque<MessagePtr> pending_messages_;
+  // Segmented, unacknowledged bytes, one entry per segment, oldest (the one
+  // starting at snd_una_) first; send_pos_ is the entry starting at
+  // send_ptr_ (== unacked_.size() when send_ptr_ == snd_next_).
+  Fifo<Segment> unacked_;
+  std::size_t send_pos_ = 0;
+  Fifo<MessagePtr> pending_messages_;
   std::uint64_t pending_bytes_ = 0;
   std::uint64_t head_offset_ = 0;  // bytes of head pending message segmented
   double cwnd_;

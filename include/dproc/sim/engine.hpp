@@ -12,7 +12,9 @@
 // once the slab and the heap have grown, scheduling a typical lambda
 // allocates nothing. Cancelling bumps the slot's generation; a key whose
 // generation no longer matches its slot is skipped when it reaches the top,
-// and only then is its callable destroyed.
+// and only then is its callable destroyed. Re-arming a pending event to a
+// later time moves the key its slot records, not the queued one: that key
+// is pushed again at the recorded one when it reaches the top.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +46,14 @@ class EventHandle {
 
   /// Prevents the event from firing. Idempotent; safe after the event fired.
   void cancel();
+
+  /// Moves a pending one-shot event to `when` in place, taking the seq
+  /// schedule_at(when, fn) would take now, so it fires exactly where
+  /// cancelling it and scheduling its callback anew at `when` would. Returns
+  /// false and changes nothing if the event is periodic, is not pending (it
+  /// fired, is firing or was cancelled) or `when` is before its current
+  /// time; the caller then cancels and schedules instead.
+  [[nodiscard]] bool rearm(SimTime when);
 
   /// True from scheduling until the handle is reset to a default one,
   /// whether or not the event has fired or been cancelled in between.
@@ -128,7 +138,8 @@ class Engine {
   /// Processes a single event if one is pending; returns false when empty.
   bool step();
 
-  /// Keys in the queue, counting cancelled events not yet popped.
+  /// Keys in the queue, counting cancelled events not yet popped (a
+  /// re-armed event has one key however often it was re-armed).
   [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
@@ -158,8 +169,12 @@ class Engine {
     alignas(std::max_align_t) unsigned char storage[kInlineBytes];
     const Ops* ops = nullptr;    // null while no callable lives here
     std::int64_t period_ns = 0;  // > 0 for a periodic timer
-    // Bumped by cancel() and on release, so a stale handle never matches
-    // the slot's next occupant (barring 2^32 reuses of one slot).
+    // The event's live key. The queued key differs only after a re-arm.
+    std::int64_t when_ns = 0;
+    std::uint64_t seq = 0;
+    // Bumped by cancel(), as a one-shot starts to fire and on release, so
+    // a stale handle never matches the slot's next occupant (barring 2^32
+    // bumps while the handle is held).
     std::uint32_t gen = 0;
   };
 
@@ -190,6 +205,8 @@ class Engine {
       ::new (static_cast<void*>(slot.storage)) Fn(std::forward<F>(fn));
       slot.ops = &kOps<Fn>;
       slot.period_ns = period.ns();
+      slot.when_ns = when.ns();
+      slot.seq = seq;
       heap_push(Key{when.ns(), seq, index, slot.gen});
       return EventHandle{this, index, slot.gen};
     }
@@ -199,8 +216,14 @@ class Engine {
     Slot& slot = slots_[index];
     if (slot.gen == gen) ++slot.gen;
   }
-  [[nodiscard]] bool cancelled(const Key& key) const {
-    return slots_[key.slot].gen != key.gen;
+  bool rearm(std::uint32_t index, std::uint32_t gen, SimTime when) {
+    Slot& slot = slots_[index];
+    if (slot.gen != gen || slot.period_ns > 0 || when.ns() < slot.when_ns) {
+      return false;
+    }
+    slot.when_ns = when.ns();
+    slot.seq = next_seq_++;
+    return true;
   }
 
   static bool before(const Key& a, const Key& b) {
@@ -208,6 +231,10 @@ class Engine {
   }
   void heap_push(const Key& key);
   Key heap_pop();
+  /// True if a popped key is its event's live key. A cancelled event's key
+  /// frees its slot; a re-armed event's key is pushed again at the live
+  /// key. Neither fires or counts as processed.
+  bool due(const Key& key);
   void fire(const Key& key);
   /// Destroys the slot's callable, then frees the slot for reuse.
   void release(std::uint32_t index);
@@ -224,6 +251,10 @@ class Engine {
 
 inline void EventHandle::cancel() {
   if (engine_ != nullptr) engine_->cancel(slot_, gen_);
+}
+
+inline bool EventHandle::rearm(SimTime when) {
+  return engine_ != nullptr && engine_->rearm(slot_, gen_, when);
 }
 
 }  // namespace dproc::sim

@@ -1,5 +1,6 @@
 #include "dproc/net/nic.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "dproc/net/tcp.hpp"
@@ -15,7 +16,7 @@ Nic::~Nic() {
   fabric_.set_delivery_handler(node_, {});
   // Engine callbacks may keep connections alive past this point; sever
   // their back references so late destruction cannot touch freed memory.
-  for (auto& [id, conn] : tcp_conns_) conn->detach_from_nic();
+  for (TcpConnection* conn : tcp_conns_) conn->detach_from_nic();
 }
 
 void Nic::bind_datagram(Port port, DatagramHandler handler) {
@@ -60,21 +61,33 @@ const DatagramFlowStats* Nic::datagram_flow(NodeId from, Port from_port) const {
   return it == flow_stats_.end() ? nullptr : &it->second;
 }
 
-void Nic::register_tcp(std::uint64_t flow_id, TcpConnection* conn) {
-  tcp_conns_[flow_id] = conn;
+std::size_t Nic::flow_index(std::uint64_t flow_id) const {
+  return static_cast<std::size_t>(
+      std::lower_bound(tcp_flow_ids_.begin(), tcp_flow_ids_.end(), flow_id) -
+      tcp_flow_ids_.begin());
 }
 
-void Nic::unregister_tcp(std::uint64_t flow_id) { tcp_conns_.erase(flow_id); }
+void Nic::register_tcp(std::uint64_t flow_id, TcpConnection* conn) {
+  const std::size_t i = flow_index(flow_id);
+  if (i < tcp_flow_ids_.size() && tcp_flow_ids_[i] == flow_id) {
+    tcp_conns_[i] = conn;
+    return;
+  }
+  const auto at = static_cast<std::ptrdiff_t>(i);
+  tcp_flow_ids_.insert(tcp_flow_ids_.begin() + at, flow_id);
+  tcp_conns_.insert(tcp_conns_.begin() + at, conn);
+}
+
+void Nic::unregister_tcp(std::uint64_t flow_id) {
+  const std::size_t i = flow_index(flow_id);
+  if (i == tcp_flow_ids_.size() || tcp_flow_ids_[i] != flow_id) return;
+  const auto at = static_cast<std::ptrdiff_t>(i);
+  tcp_flow_ids_.erase(tcp_flow_ids_.begin() + at);
+  tcp_conns_.erase(tcp_conns_.begin() + at);
+}
 
 void Nic::bind_tcp_listener(Port port, SynHandler handler) {
   tcp_listeners_[port] = std::move(handler);
-}
-
-std::vector<TcpConnection*> Nic::tcp_connections() const {
-  std::vector<TcpConnection*> conns;
-  conns.reserve(tcp_conns_.size());
-  for (const auto& [id, conn] : tcp_conns_) conns.push_back(conn);
-  return conns;
 }
 
 void Nic::on_delivery(const Packet& packet) {
@@ -91,9 +104,9 @@ void Nic::on_delivery(const Packet& packet) {
     case PacketKind::kTcpSynAck:
     case PacketKind::kTcpData:
     case PacketKind::kTcpAck: {
-      auto it = tcp_conns_.find(packet.flow_id);
-      if (it != tcp_conns_.end()) {
-        it->second->on_packet(packet);
+      const std::size_t i = flow_index(packet.flow_id);
+      if (i < tcp_flow_ids_.size() && tcp_flow_ids_[i] == packet.flow_id) {
+        tcp_conns_[i]->on_packet(packet);
       } else {
         DPROC_DEBUG() << "nic " << node_ << ": segment for unknown flow "
                       << packet.flow_id;

@@ -93,12 +93,12 @@ void TcpConnection::try_transmit() {
   while (true) {
     if (send_ptr_ < snd_next_) {
       // (Re)transmit the already-segmented byte stream from the cursor.
-      auto it = unacked_.find(send_ptr_);
-      if (it == unacked_.end()) break;  // should not happen; stay safe
-      const std::uint64_t end = send_ptr_ + it->second.length;
+      Segment& seg = unacked_[send_pos_];
+      const std::uint64_t end = send_ptr_ + seg.length;
       if (end - snd_una_ > cwnd_bytes && send_ptr_ > snd_una_) break;
-      send_segment(send_ptr_);
+      send_segment(send_ptr_, seg);
       send_ptr_ = end;
+      ++send_pos_;
       continue;
     }
     if (pending_messages_.empty()) break;
@@ -115,10 +115,7 @@ void TcpConnection::try_transmit() {
         std::min<std::uint64_t>(remaining, config_.mss));
     const bool is_tail = (head_offset_ + len == msg_size);
 
-    Segment seg;
-    seg.length = len;
-    if (is_tail) seg.message_end = head;
-    unacked_.emplace(snd_next_, std::move(seg));
+    unacked_.push_back(Segment{is_tail ? head : MessagePtr{}, len});
 
     snd_next_ += len;
     head_offset_ += len;
@@ -127,16 +124,14 @@ void TcpConnection::try_transmit() {
       pending_messages_.pop_front();
       head_offset_ = 0;
     }
-    send_segment(send_ptr_);
+    send_segment(send_ptr_, unacked_[send_pos_]);
     send_ptr_ = snd_next_;
+    ++send_pos_;
   }
   if (snd_next_ > snd_una_ && !rto_event_.valid()) arm_rto();
 }
 
-void TcpConnection::send_segment(std::uint64_t seq) {
-  auto it = unacked_.find(seq);
-  if (it == unacked_.end()) return;
-  Segment& seg = it->second;
+void TcpConnection::send_segment(std::uint64_t seq, Segment& seg) {
   if (seg.transmit_count > 0) {
     ++counters_.retransmissions;
     if (probe_active_ && probe_end_seq_ > seq) probe_active_ = false;  // Karn
@@ -208,13 +203,16 @@ void TcpConnection::on_ack_packet(const Packet& packet) {
   const std::uint64_t ack = packet.ack;
   if (ack > snd_una_) {
     std::uint64_t acked_segments = 0;
-    while (!unacked_.empty() && unacked_.begin()->first < ack) {
-      ++acked_segments;
-      unacked_.erase(unacked_.begin());
+    for (std::uint64_t start = snd_una_; !unacked_.empty() && start < ack;
+         ++acked_segments) {
+      start += unacked_.front().length;
+      unacked_.pop_front();
     }
     counters_.bytes_acked += ack - snd_una_;
     snd_una_ = ack;
+    // A cursor behind the ACK moves up to it, onto the new oldest entry.
     send_ptr_ = std::max(send_ptr_, snd_una_);
+    send_pos_ -= std::min<std::uint64_t>(send_pos_, acked_segments);
     dup_acks_ = 0;
 
     if (probe_active_ && ack >= probe_end_seq_) {
@@ -231,8 +229,11 @@ void TcpConnection::on_ack_packet(const Packet& packet) {
       }
     }
 
-    cancel_rto();
-    if (snd_next_ > snd_una_) arm_rto();
+    if (snd_next_ > snd_una_) {
+      arm_rto();
+    } else {
+      cancel_rto();
+    }
     try_transmit();
     return;
   }
@@ -247,6 +248,7 @@ void TcpConnection::on_ack_packet(const Packet& packet) {
       dup_acks_ = 0;
       recover_ = snd_next_;
       send_ptr_ = snd_una_;
+      send_pos_ = 0;
       cancel_rto();
       try_transmit();
     }
@@ -254,7 +256,12 @@ void TcpConnection::on_ack_packet(const Packet& packet) {
 }
 
 void TcpConnection::arm_rto() {
-  rto_event_ = nic_->fabric().engine().schedule_after(
+  // An ACK moves the pending timer later in place; only a first arm or an
+  // earlier deadline (rto_ shrank) schedules a new one.
+  sim::Engine& engine = nic_->fabric().engine();
+  if (rto_event_.rearm(engine.now() + rto_)) return;
+  rto_event_.cancel();
+  rto_event_ = engine.schedule_after(
       rto_, [self = shared_from_this()] { self->on_rto_expired(); });
 }
 
@@ -268,6 +275,7 @@ void TcpConnection::on_rto_expired() {
   rto_ = std::min(rto_ * 2.0, config_.max_rto);
   recover_ = snd_next_;
   send_ptr_ = snd_una_;  // go back N
+  send_pos_ = 0;
   try_transmit();        // re-arms the timer
 }
 
@@ -283,8 +291,7 @@ TcpStats TcpConnection::stats() const {
   s.srtt_us = srtt_us_.value();
   s.cwnd_segments = cwnd_;
   s.in_flight_bytes = snd_next_ - snd_una_;
-  std::uint64_t unsent = pending_bytes_;
-  s.send_queue_bytes = unsent;
+  s.send_queue_bytes = pending_bytes_;
   return s;
 }
 

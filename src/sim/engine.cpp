@@ -62,6 +62,19 @@ void Engine::release(std::uint32_t index) {
   slots_.release(index);
 }
 
+bool Engine::due(const Key& key) {
+  Slot& slot = slots_[key.slot];
+  if (slot.gen != key.gen) {
+    release(key.slot);
+    return false;
+  }
+  if (slot.seq != key.seq) {
+    heap_push(Key{slot.when_ns, slot.seq, key.slot, key.gen});
+    return false;
+  }
+  return true;
+}
+
 void Engine::fire(const Key& key) {
   ++processed_;
   fired_when_ns_ = key.when_ns;
@@ -69,22 +82,24 @@ void Engine::fire(const Key& key) {
   // Slots never move and this one stays taken until released below, so the
   // reference survives whatever the callback schedules or cancels.
   Slot& slot = slots_[key.slot];
+  // A one-shot is no longer pending once it starts: its handles can
+  // neither cancel nor re-arm it from here on, not even from its own
+  // callback (the slot is released when the callback returns).
+  if (slot.period_ns == 0) ++slot.gen;
   slot.ops->invoke(slot.storage);
   if (slot.period_ns > 0 && slot.gen == key.gen) {
-    heap_push(Key{now_.ns() + slot.period_ns, next_seq_++, key.slot, key.gen});
+    slot.when_ns = now_.ns() + slot.period_ns;
+    slot.seq = next_seq_++;
+    heap_push(Key{slot.when_ns, slot.seq, key.slot, key.gen});
   } else {
     release(key.slot);
   }
 }
 
 bool Engine::step() {
-  // Skip cancelled keys without counting them as processed events.
   while (!heap_.empty()) {
     const Key key = heap_pop();
-    if (cancelled(key)) {
-      release(key.slot);
-      continue;
-    }
+    if (!due(key)) continue;
     now_ = SimTime{key.when_ns};
     fire(key);
     return true;
@@ -96,11 +111,7 @@ void Engine::run_until(SimTime deadline) {
   while (!heap_.empty() && heap_.front().when_ns <= deadline.ns()) {
     const Key key = heap_pop();
     now_ = SimTime{key.when_ns};
-    if (cancelled(key)) {
-      release(key.slot);
-    } else {
-      fire(key);
-    }
+    if (due(key)) fire(key);
   }
   if (now_ < deadline) now_ = deadline;
 }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "dproc/net/fabric.hpp"
@@ -652,6 +656,161 @@ TEST_F(TcpTest, FirstFlightAfterHandshakeRecoversByTimeout) {
   engine.run_until(engine.now() + seconds(5.0));
   EXPECT_EQ(got, 4096u);
   EXPECT_GT(client->stats().retransmissions, 0u);
+}
+
+TEST_F(TcpTest, GoBackNRecoversALossBurstWhileTheSegmentQueueGrows) {
+  // Data and ACKs are lost at random for the first 100 ms while the window
+  // opens, so the unacknowledged-segment ring wraps, doubles while wrapped
+  // and is rewound by fast retransmits and timeouts. Every message must
+  // still arrive once and in order.
+  std::vector<int> got;
+  TcpListener listener{*nic_b, 80, TcpConfig{}, [&](TcpConnection::Ptr conn) {
+    conn->set_message_handler([&](const MessagePtr& m) {
+      got.push_back(m->header[0] | (m->header[1] << 8));
+    });
+  }};
+  auto client = TcpConnection::connect(*nic_a, b, 80);
+  engine.run();
+  ASSERT_TRUE(client->established());
+
+  const LinkId data_link = ports[0].first;  // a's uplink
+  const LinkId ack_link = ports[1].first;   // b's uplink
+  fabric.set_link_loss(data_link, 0.05, 7);
+  fabric.set_link_loss(ack_link, 0.05, 8);
+  engine.schedule_after(milliseconds(100.0), [&] {
+    fabric.set_link_loss(data_link, 0.0, 0);
+    fabric.set_link_loss(ack_link, 0.0, 0);
+  });
+  // Sizes on and around segment edges, from one byte to 21 segments.
+  const std::array<std::uint64_t, 5> bodies{0, 1446, 1447, 6000, 30000};
+  constexpr int kMessages = 120;
+  const std::uint32_t mss = TcpConfig{}.mss;
+  std::vector<MessagePtr> messages;
+  std::vector<int> sent;
+  std::map<std::uint64_t, std::uint32_t> segments;  // first byte -> length
+  std::uint64_t stream_bytes = 0;
+  for (int i = 0; i < kMessages; ++i) {
+    messages.push_back(make_message(
+        {static_cast<std::uint8_t>(i & 0xff), static_cast<std::uint8_t>(i >> 8)},
+        bodies[i % bodies.size()]));
+    sent.push_back(i);
+    for (std::uint64_t left = messages.back()->size(); left > 0;) {
+      const auto length = static_cast<std::uint32_t>(std::min<std::uint64_t>(left, mss));
+      segments[stream_bytes] = length;
+      stream_bytes += length;
+      left -= length;
+    }
+  }
+  // Every data packet on the wire, first send or resend, is one whole
+  // segment of the stream: the cursor never drifts off a segment edge.
+  int stray_packets = 0;
+  fabric.set_trace_hook(
+      [&](Fabric::TraceEvent event, DropCause, const Packet& p, SimTime) {
+        if (event != Fabric::TraceEvent::kSend || p.kind != PacketKind::kTcpData) return;
+        const auto it = segments.find(p.seq);
+        if (it == segments.end() || it->second != p.payload_bytes) ++stray_packets;
+      });
+  for (const MessagePtr& message : messages) client->send(message);
+  engine.run_until(engine.now() + seconds(60.0));
+  EXPECT_EQ(got, sent);
+  EXPECT_EQ(stray_packets, 0);
+  EXPECT_GT(fabric.stats().drops_loss, 10u);
+  EXPECT_GT(client->stats().retransmissions, 0u);
+  EXPECT_EQ(client->stats().in_flight_bytes, 0u);
+  EXPECT_EQ(client->stats().send_queue_bytes, 0u);
+}
+
+std::vector<std::uint64_t> flow_ids(const Nic& nic) {
+  std::vector<std::uint64_t> ids;
+  for (const TcpConnection* conn : nic.tcp_connections()) {
+    ids.push_back(conn->flow_id());
+  }
+  return ids;
+}
+
+TEST(TcpFlowTable, FlowsRegisteredOutOfOrderIterateInFlowIdOrder) {
+  // NetMonitor sums RTTs in the order tcp_connections() returns, so that
+  // order must be the flow-id order whatever order flows registered in.
+  sim::Engine engine;
+  Fabric fabric{engine};
+  const NodeId server = fabric.add_node("server");
+  std::vector<NodeId> nodes{server};
+  for (int i = 0; i < 3; ++i) nodes.push_back(fabric.add_node("c" + std::to_string(i)));
+  const auto ports = fabric.build_star(nodes, LinkConfig{});
+  Nic server_nic{fabric, server};
+  std::vector<std::unique_ptr<Nic>> client_nics;
+  for (int i = 1; i <= 3; ++i) {
+    client_nics.push_back(std::make_unique<Nic>(fabric, nodes[i]));
+  }
+  std::vector<std::uint64_t> accepted;
+  TcpListener listener{server_nic, 80, TcpConfig{}, [&](TcpConnection::Ptr conn) {
+    accepted.push_back(conn->flow_id());
+  }};
+  // The first client's first SYN is lost, so the lowest flow id reaches
+  // the server last.
+  fabric.set_link_down(ports[1].first, true);
+  std::vector<TcpConnection::Ptr> clients;
+  for (int i = 0; i < 3; ++i) {
+    clients.push_back(TcpConnection::connect(*client_nics[i], server, 80));
+  }
+  engine.schedule_after(milliseconds(1.0),
+                        [&] { fabric.set_link_down(ports[1].first, false); });
+  engine.run();
+
+  const std::vector<std::uint64_t> ids{clients[0]->flow_id(),
+                                       clients[1]->flow_id(),
+                                       clients[2]->flow_id()};
+  ASSERT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+  EXPECT_EQ(accepted, (std::vector<std::uint64_t>{ids[1], ids[2], ids[0]}));
+  EXPECT_EQ(flow_ids(server_nic), ids);
+}
+
+TEST_F(TcpTest, UnregisteringAMiddleFlowAndUnknownFlowSegments) {
+  std::map<std::uint64_t, TcpConnection::Ptr> accepted;
+  std::map<std::uint64_t, std::uint64_t> got;  // bytes by flow, at b
+  TcpListener listener{*nic_b, 80, TcpConfig{}, [&](TcpConnection::Ptr conn) {
+    accepted[conn->flow_id()] = conn;
+    conn->set_message_handler(
+        [&got, id = conn->flow_id()](const MessagePtr& m) { got[id] += m->size(); });
+  }};
+  std::vector<TcpConnection::Ptr> clients;
+  for (int i = 0; i < 3; ++i) clients.push_back(TcpConnection::connect(*nic_a, b, 80));
+  engine.run();
+  ASSERT_EQ(accepted.size(), 3u);
+  const std::uint64_t low = clients[0]->flow_id();
+  const std::uint64_t middle = clients[1]->flow_id();
+  const std::uint64_t high = clients[2]->flow_id();
+
+  clients[1]->close();
+  EXPECT_EQ(flow_ids(*nic_a), (std::vector<std::uint64_t>{low, high}));
+  nic_a->unregister_tcp(middle);  // gone already: no-op
+  nic_a->unregister_tcp(high + 100);
+  EXPECT_EQ(flow_ids(*nic_a), (std::vector<std::uint64_t>{low, high}));
+
+  // Segments for flows a no longer (or never) knew: below, between and
+  // above the registered ids. The server side of the closed flow also keeps
+  // retransmitting into it. All are received and dropped.
+  int stray_delivered = 0;
+  clients[1]->set_message_handler([&](const MessagePtr&) { ++stray_delivered; });
+  accepted[middle]->send(make_message({}, 3000));
+  for (std::uint64_t flow : {low - 1, middle, high + 1}) {
+    Packet p;
+    p.src = b;
+    p.dst = a;
+    p.kind = PacketKind::kTcpData;
+    p.flow_id = flow;
+    p.payload_bytes = 100;
+    fabric.send(p);
+  }
+  clients[0]->send(make_message({}, 5000));
+  clients[2]->send(make_message({}, 7000));
+  const std::uint64_t received_before = nic_a->stats().bytes_received;
+  engine.run_until(engine.now() + seconds(1.0));
+  EXPECT_EQ(stray_delivered, 0);
+  EXPECT_GT(nic_a->stats().bytes_received, received_before);
+  EXPECT_EQ(got[low], 5000u);
+  EXPECT_EQ(got[high], 7000u);
+  EXPECT_EQ(got.count(middle), 0u);
 }
 
 TEST_F(TcpTest, RttMeasuredOnLan) {

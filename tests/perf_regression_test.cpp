@@ -4,7 +4,7 @@
 // allocates nothing, a Vm is re-entrant (same program, same input, same
 // result on every call), and once the engine's slab and the fabric's
 // in-flight pool have grown, scheduling, cancelling and forwarding packets
-// allocate nothing. The alloc counter comes from bench/alloc_counter.cpp,
+// allocate nothing, and neither does a warm TCP stream, segment or ACK. The alloc counter comes from bench/alloc_counter.cpp,
 // whose global operator new/delete override counts every heap allocation
 // in the test binary.
 #include <gtest/gtest.h>
@@ -17,6 +17,8 @@
 #include "dproc/core/cluster.hpp"
 #include "dproc/ecode/ecode.hpp"
 #include "dproc/net/fabric.hpp"
+#include "dproc/net/nic.hpp"
+#include "dproc/net/tcp.hpp"
 #include "dproc/sim/engine.hpp"
 
 namespace {
@@ -252,6 +254,52 @@ TEST(PerfRegressionTest, WarmPacketBurstThroughStarAllocatesNothing) {
       << "a warm burst must not touch the heap in Fabric::send or Engine::run";
   EXPECT_EQ(first, 1000u);
   EXPECT_EQ(delivered, 2000u);
+}
+
+TEST(PerfRegressionTest, WarmTcpStreamAllocatesNothingPerSegment) {
+  dproc::sim::Engine engine;
+  dproc::net::Fabric fabric{engine};
+  const dproc::net::NodeId a = fabric.add_node("a");
+  const dproc::net::NodeId b = fabric.add_node("b");
+  fabric.build_star({a, b}, dproc::net::LinkConfig{});
+  dproc::net::Nic nic_a{fabric, a};
+  dproc::net::Nic nic_b{fabric, b};
+  std::uint64_t delivered = 0;
+  dproc::net::TcpListener listener{
+      nic_b, 80, dproc::net::TcpConfig{},
+      [&](dproc::net::TcpConnection::Ptr conn) {
+        conn->set_message_handler(
+            [&](const dproc::net::MessagePtr& m) { delivered += m->size(); });
+      }};
+  auto client = dproc::net::TcpConnection::connect(nic_a, b, 80);
+  engine.run();
+
+  // 8 messages of 64 KB: 46 segments each, every one ACKed.
+  constexpr int kMessages = 8;
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  auto make_batch = [] {
+    std::vector<dproc::net::MessagePtr> batch;
+    for (int i = 0; i < kMessages; ++i) {
+      batch.push_back(dproc::net::make_message({}, kBytes));
+    }
+    return batch;
+  };
+  // Warm-up, twice as long: opens the window past what the measured
+  // transfer reaches and grows the segment and message queues, the
+  // in-flight pool, the slab and the key heap.
+  for (int round = 0; round < 2; ++round) {
+    for (auto& message : make_batch()) client->send(std::move(message));
+    engine.run();
+  }
+  std::vector<dproc::net::MessagePtr> batch = make_batch();
+
+  const std::uint64_t before = dproc::bench::alloc_count();
+  for (auto& message : batch) client->send(std::move(message));
+  engine.run();
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
+      << "a warm TCP transfer must not touch the heap per segment or ACK";
+  EXPECT_EQ(delivered, 3 * kMessages * kBytes);
+  EXPECT_EQ(client->stats().retransmissions, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <random>
+#include <utility>
 #include <vector>
 
 #include "dproc/sim/engine.hpp"
@@ -325,6 +327,200 @@ TEST(Engine, ReservedKeyNotAfterTheLastFiredEventThrows) {
   engine.run_until(SimTime{100});
   EXPECT_THROW(engine.schedule_at(SimTime{50}, engine.reserve_seq(), [] {}),
                std::invalid_argument);
+}
+
+// --- re-arm ---------------------------------------------------------------
+
+TEST(Engine, RearmMovesAPendingEventLaterUnderOneKey) {
+  Engine engine;
+  std::vector<std::int64_t> fired;
+  EventHandle timer =
+      engine.schedule_at(SimTime{10}, [&] { fired.push_back(engine.now().ns()); });
+  engine.schedule_at(SimTime{30}, [&] { fired.push_back(-30); });
+  EXPECT_TRUE(timer.rearm(SimTime{20}));
+  // The same time as the other event, re-armed after it: fires after it.
+  EXPECT_TRUE(timer.rearm(SimTime{30}));
+  EXPECT_FALSE(timer.rearm(SimTime{25})) << "earlier than its current time";
+  EXPECT_EQ(engine.pending_events(), 2u);
+  engine.run_until(SimTime{20});
+  EXPECT_TRUE(fired.empty()) << "the queued key is pushed again, not fired";
+  EXPECT_EQ(engine.events_processed(), 0u);
+  engine.run();
+  EXPECT_EQ(fired, (std::vector<std::int64_t>{-30, 30}));
+  EXPECT_EQ(engine.events_processed(), 2u);
+  EXPECT_FALSE(timer.rearm(SimTime{40})) << "fired";
+
+  EventHandle cancelled = engine.schedule_after(seconds(1.0), [] {});
+  cancelled.cancel();
+  EXPECT_FALSE(cancelled.rearm(SimTime::zero() + seconds(2.0)));
+  EventHandle periodic = engine.schedule_periodic(seconds(1.0), [] {});
+  EXPECT_FALSE(periodic.rearm(SimTime::zero() + seconds(2.0)));
+  periodic.cancel();
+  EXPECT_FALSE(EventHandle{}.rearm(SimTime{50}));
+}
+
+TEST(Engine, RearmFromTheEventsOwnCallbackIsRefused) {
+  // A one-shot stops being pending when it starts to fire: its slot is
+  // released when the callback returns, so a re-arm from the callback must
+  // be refused (and the callback schedules anew) rather than lost.
+  Engine engine;
+  EventHandle timer;
+  int fired = 0;
+  std::function<void()> on_timer = [&] {
+    if (++fired > 1) return;
+    EXPECT_FALSE(timer.rearm(SimTime{20}));
+    timer = engine.schedule_at(SimTime{20}, on_timer);
+  };
+  timer = engine.schedule_at(SimTime{10}, on_timer);
+  engine.run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(engine.now(), SimTime{20});
+}
+
+// How often each kind of re-arm came up in a plan.
+struct RearmKinds {
+  int later = 0;
+  int same_time = 0;
+  int earlier = 0;
+  int own_callback = 0;
+  int fired_or_cancelled = 0;
+};
+
+/// A random plan of schedule, cancel and re-arm over a few timers, plain
+/// events and a periodic event, decided by ticks and by the timers' own
+/// callbacks. Each decision is drawn when an event takes it, from one
+/// generator, so two runs of a seed take the same decisions as long as
+/// they fire in the same order. `in_place` re-arms through rearm() where it
+/// is allowed; otherwise every re-arm is cancel + schedule, the reference.
+class RearmPlan {
+ public:
+  using Fired = std::pair<int, std::int64_t>;  // (label, time)
+
+  RearmPlan(std::uint64_t seed, bool in_place) : rng_{seed}, in_place_{in_place} {}
+
+  std::vector<Fired> run() {
+    periodic_ = engine.schedule_periodic(SimDuration{2 * kTickNs}, [this] {
+      record(kPeriodicLabel);
+      act(-1);
+    });
+    for (std::int64_t tick = 0; tick < kTicks; ++tick) {
+      engine.schedule_at(SimTime{tick * kTickNs}, [this] {
+        for (auto n = rng_() % 4; n > 0; --n) act(-1);
+      });
+    }
+    engine.schedule_at(SimTime{kTicks * kTickNs}, [this] { periodic_.cancel(); });
+    engine.run();
+    return fired_;
+  }
+
+  Engine engine;
+  RearmKinds kinds;
+
+ private:
+  static constexpr int kTimers = 4;
+  static constexpr std::int64_t kTicks = 150;
+  static constexpr int kPeriodicLabel = 99;
+
+  void record(int label) { fired_.emplace_back(label, engine.now().ns()); }
+
+  /// One decision, taken by timer `self` (-1: a tick or the periodic).
+  void act(int self) {
+    const std::int64_t now = engine.now().ns();
+    if (now >= kTicks * kTickNs) return;
+    const auto k = static_cast<int>(rng_() % kTimers);
+    switch (rng_() % 8) {
+      case 0:
+        timers_[k].cancel();
+        pending_[k] = false;
+        return;
+      case 1: {
+        const int label = next_label_++;
+        const auto delay = static_cast<std::int64_t>(rng_() % 3) * kTickNs;
+        engine.schedule_at(SimTime{now + delay}, [this, label] { record(label); });
+        return;
+      }
+      case 2:
+        if (in_place_) {
+          EXPECT_FALSE(periodic_.rearm(SimTime{now + kTickNs}));
+        }
+        return;
+      default: {
+        // Around the timer's deadline (a tick earlier, the same time or a
+        // tick later), or a fresh delay from now.
+        std::int64_t when =
+            rng_() % 2 == 0
+                ? deadline_[k] + (static_cast<std::int64_t>(rng_() % 3) - 1) * kTickNs
+                : now + static_cast<std::int64_t>(rng_() % 4) * kTickNs;
+        rearm(self, k, std::max(when, now));
+      }
+    }
+  }
+
+  void rearm(int self, int k, std::int64_t when) {
+    if (in_place_) {
+      if (self == k) {
+        ++kinds.own_callback;
+      } else if (!pending_[k]) {
+        ++kinds.fired_or_cancelled;
+      } else if (when < deadline_[k]) {
+        ++kinds.earlier;
+      } else if (when == deadline_[k]) {
+        ++kinds.same_time;
+      } else {
+        ++kinds.later;
+      }
+      const bool allowed = pending_[k] && when >= deadline_[k];
+      const bool moved = timers_[k].rearm(SimTime{when});
+      EXPECT_EQ(moved, allowed) << "timer " << k << " at " << engine.now().ns();
+      if (moved) {
+        deadline_[k] = when;
+        return;
+      }
+    }
+    timers_[k].cancel();
+    timers_[k] = engine.schedule_at(SimTime{when}, [this, k] { on_timer(k); });
+    pending_[k] = true;
+    deadline_[k] = when;
+  }
+
+  void on_timer(int k) {
+    pending_[k] = false;
+    record(k);
+    if (rng_() % 2 == 0) act(k);
+  }
+
+  std::mt19937_64 rng_;
+  bool in_place_;
+  std::array<EventHandle, kTimers> timers_{};
+  std::array<bool, kTimers> pending_{};
+  std::array<std::int64_t, kTimers> deadline_{};
+  EventHandle periodic_;
+  int next_label_ = 100;
+  std::vector<Fired> fired_;
+};
+
+TEST(Engine, RearmFiresExactlyLikeCancelAndSchedule) {
+  RearmKinds total;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    RearmPlan reference{seed, false};
+    RearmPlan in_place{seed, true};
+    const std::vector<RearmPlan::Fired> expected = reference.run();
+    ASSERT_GT(expected.size(), 200u);
+    EXPECT_EQ(in_place.run(), expected) << "seed " << seed;
+    EXPECT_EQ(in_place.engine.events_processed(),
+              reference.engine.events_processed())
+        << "seed " << seed;
+    total.later += in_place.kinds.later;
+    total.same_time += in_place.kinds.same_time;
+    total.earlier += in_place.kinds.earlier;
+    total.own_callback += in_place.kinds.own_callback;
+    total.fired_or_cancelled += in_place.kinds.fired_or_cancelled;
+  }
+  EXPECT_GT(total.later, 400);
+  EXPECT_GT(total.same_time, 300);
+  EXPECT_GT(total.earlier, 200);
+  EXPECT_GT(total.own_callback, 150);
+  EXPECT_GT(total.fired_or_cancelled, 2000);
 }
 
 // --- callback lifetimes ---------------------------------------------------

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 
+#include "dproc/util/fifo.hpp"
 #include "dproc/util/ring_buffer.hpp"
 #include "dproc/util/rng.hpp"
 #include "dproc/util/stats.hpp"
@@ -315,6 +317,41 @@ TEST(RingBuffer, DefaultConstructedIsUnsizedUntilAssigned) {
   ring.push(7);
   EXPECT_EQ(ring.capacity(), 3u);
   EXPECT_EQ(ring.front(), 7);
+}
+
+TEST(Fifo, WrapsAndGrowsInOrder) {
+  Fifo<int> fifo;
+  int pushed = 0;
+  int popped = 0;
+  // Interleave pushes and pops so the head walks round the ring, then let
+  // the queue grow while its items wrap past the end of the storage.
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 3 + round % 5; ++i) fifo.push_back(pushed++);
+    for (int i = 0; i < 2 && !fifo.empty(); ++i) {
+      EXPECT_EQ(fifo.front(), popped++);
+      fifo.pop_front();
+    }
+    for (std::size_t i = 0; i < fifo.size(); ++i) {
+      ASSERT_EQ(fifo[i], popped + static_cast<int>(i));
+    }
+  }
+  EXPECT_EQ(fifo.size(), static_cast<std::size_t>(pushed - popped));
+  while (!fifo.empty()) {
+    EXPECT_EQ(fifo.front(), popped++);
+    fifo.pop_front();
+  }
+  EXPECT_EQ(popped, pushed);
+}
+
+TEST(Fifo, PopReleasesTheItemAtOnce) {
+  Fifo<std::shared_ptr<int>> fifo;
+  auto item = std::make_shared<int>(1);
+  fifo.push_back(item);
+  fifo.push_back(std::make_shared<int>(2));
+  EXPECT_EQ(item.use_count(), 2);
+  fifo.pop_front();
+  EXPECT_EQ(item.use_count(), 1);
+  EXPECT_EQ(*fifo.front(), 2);
 }
 
 // --- status / result ----------------------------------------------------
