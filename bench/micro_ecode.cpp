@@ -215,7 +215,7 @@ dproc::bench::JsonBenchEntry measure_corpus(std::uint64_t iters) {
   // Interpreter throughput over a heterogeneous filter corpus, evaluated
   // round-robin the way a d-mon hosting many channels (each with its own
   // filter) interleaves them, so consecutive evaluations differ in opcode
-  // mix and branch history. One corpus pass executes ~12k VM instructions;
+  // mix and branch history. One corpus pass executes ~66k VM instructions;
   // scale the outer count down accordingly.
   using Clock = std::chrono::steady_clock;
   // Control-flow-dense filters (counters, rate accumulators, hysteresis

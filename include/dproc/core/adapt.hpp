@@ -49,11 +49,6 @@ struct AdaptConfig {
   int adapt_every_periods = 5;
   SimDuration min_period = seconds(1.0);
   SimDuration max_period = seconds(30.0);
-  /// EWMA smoothing for per-metric change rates and magnitude scales.
-  double ewma_alpha = 0.3;
-  /// Multiplicative period moves per round (decrease/increase).
-  double tighten_factor = 0.5;
-  double relax_factor = 1.5;
 };
 
 /// Last value a publisher sent per metric id. Shared between the batching

@@ -101,15 +101,6 @@ struct BatchConfig {
 /// sketches addressable via skmerge(i).
 struct SketchConfig {
   bool enabled = false;
-  /// Ranks a TopKMonitor publishes and refreshes for topk()/topkid().
-  std::size_t k = 8;
-  /// Sizing of sketches built by the cluster builder's standard modules.
-  SketchParams params{};
-  /// Entity population of the builder's stock per-PID TOP_K module; the
-  /// constant-space experiment sweeps this while frame bytes stay flat.
-  std::size_t process_count = 1000;
-  /// Skew of the stock module's deterministic per-PID load distribution.
-  double zipf_s = 1.2;
 };
 
 /// The d-mon's own cadence, channels and cost model. The opt-in features

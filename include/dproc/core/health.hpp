@@ -53,27 +53,12 @@ struct WatchdogRule {
 /// telemetry counters and published through DPROC_MON).
 struct HealthConfig {
   bool enabled = false;
-  /// Windowed-delta entries retained per tracked series.
-  std::size_t history_depth = 32;
   /// Newest polls folded into the score (failure signals age out of the
   /// score after this many clean polls).
   int score_window = 4;
-  // Score weights: penalty = weight x (fraction of the score window with a
-  // nonzero delta), except staleness which scales with the fraction of
-  // peers not live. Weights sum to 100 so a node failing on every axis
-  // bottoms out at 0.
-  double weight_drops = 20.0;
-  double weight_stale = 30.0;
-  double weight_slo = 20.0;
-  double weight_collect = 10.0;
-  double weight_evict = 20.0;
   /// Consumers (SmartPointer) distrust a peer whose published score is
   /// below this.
   double trust_threshold = 60.0;
-  /// Incident bundles retained (oldest evicted first).
-  std::size_t incident_capacity = 8;
-  /// Flight events frozen into each bundle (the newest tail of the ring).
-  std::size_t incident_events = 128;
   /// A trigger landing within this window of the last open incident is
   /// absorbed as a symptom of it instead of opening a duplicate.
   SimDuration dedup_window = seconds(2.0);

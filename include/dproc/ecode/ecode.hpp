@@ -12,10 +12,12 @@
 //   if (!filter) { /* report filter.status() back through the control file */ }
 //   auto out = filter.value().run(samples);
 //
-// A filter runs on one interpreter, the Vm in vm.hpp. Its ints are 64-bit
-// and wrap on overflow (INT64_MIN / -1 == INT64_MIN, INT64_MIN % -1 == 0);
-// a double stored into an int truncates and saturates, with NaN giving 0.
-// Constant folding follows the same rules, so it never changes a result.
+// A filter compiles to one bytecode and runs on one interpreter, the Vm in
+// vm.hpp, which charges one unit of fuel per instruction. Its ints are
+// 64-bit and wrap on overflow (INT64_MIN / -1 == INT64_MIN,
+// INT64_MIN % -1 == 0); a double stored into an int truncates and
+// saturates, with NaN giving 0. Constant folding follows the same rules, so
+// it never changes a result, only lowers the fuel a filter burns.
 #pragma once
 
 #include <string>
@@ -28,22 +30,14 @@
 
 namespace dproc::ecode {
 
-struct CompileOptions {
-  /// Constant folding (on by default). Exposed for tooling and for the
-  /// optimizer-equivalence property tests.
-  bool fold_constants = true;
-  /// Bytecode superinstruction fusion (on by default). Fuel-neutral: fused
-  /// instructions carry the weight of the sequence they replace.
-  bool peephole = true;
-};
-
 class Filter {
  public:
-  /// Compiles filter source against the environment's constant bindings.
-  /// Errors carry line:column diagnostics suitable for the control file.
+  /// Compiles filter source against the environment's constant bindings:
+  /// lex, parse, check, fold constants, then emit the bytecode the Vm runs
+  /// as is. Errors carry line:column diagnostics suitable for the control
+  /// file.
   static Result<Filter> compile(std::string_view source,
-                                const CompileEnv& env = {},
-                                CompileOptions options = {});
+                                const CompileEnv& env = {});
 
   /// Runs the filter on a fresh Vm; `input[i]` is the sample for
   /// monitoring source i. Callers that evaluate every period keep one Vm

@@ -20,11 +20,11 @@
 // array indexed by slot (bounded by VmLimits::max_output_index) instead of
 // an ordered map; a small touched-list remembers which slots were written
 // so clearing between runs is O(written), not O(max_output_index). Fuel is
-// accounted per instruction (superinstructions emitted by the bytecode
-// peephole pass carry the weight of the sequence they replaced, keeping
-// instructions_executed identical to unoptimized execution) but the limit
-// is only *checked* at control-flow edges — straight-line code cannot loop,
-// so checking at jumps and returns bounds execution all the same.
+// one unit per instruction executed — the VM runs the compiler's bytecode
+// as emitted, so instructions_executed is the filter's modeled cost — but
+// the limit is only *checked* at control-flow edges: straight-line code
+// cannot loop, so checking at jumps, returns and the end of the program
+// bounds execution all the same.
 #pragma once
 
 #include <algorithm>

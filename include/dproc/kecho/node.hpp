@@ -206,6 +206,11 @@ class Channel {
   /// Stamps the submit hop for a traced submit and returns the context to
   /// append to the wire frame; nullptr when the submit is untraced.
   const net::TraceContext* stamp_submit(net::TraceContext& trace);
+  /// The fan-out loop behind submit, submit_to and submit_to_each (defined
+  /// in node.cpp): `select(member)` returns the payload for that member, or
+  /// null to skip it.
+  template <typename Select>
+  SimDuration fan_out(net::TraceContext trace, const Select& select);
 
   Node& node_;
   std::string name_;
@@ -217,8 +222,9 @@ class Channel {
   std::deque<Event> rx_queue_;
   std::uint64_t submitted_ = 0;
   std::uint64_t received_ = 0;
-  /// Reused one-element member list for submit_to's heartbeat suppression.
-  std::vector<Member> single_member_scratch_;
+  /// fan_out's per-submission frame cache (payload identity -> encoded
+  /// frame), emptied after each submission; kept for its capacity.
+  std::vector<std::pair<const net::Message*, net::MessagePtr>> frames_scratch_;
   std::vector<std::function<void(Channel&)>> on_ready_;
   int join_attempts_ = 0;        // backoff exponent for the next retry
   sim::EventHandle join_retry_;  // pending retry; cancelled on response
@@ -382,9 +388,9 @@ class Node {
   void forget_peer(net::NodeId peer);
   [[nodiscard]] bool member_of_any_channel(net::NodeId peer) const;
   void notify_membership(MemberEventKind kind, net::NodeId node);
-  /// Data-frame piggybacking: marks `members` as sent-to now, suppressing
-  /// this period's explicit heartbeat to them.
-  void note_submission(const std::vector<Member>& members);
+  /// Data-frame piggybacking: marks `peer` as sent-to now, suppressing
+  /// this period's explicit heartbeat to it.
+  void note_sent(net::NodeId peer);
 
   host::Host& host_;
   net::Nic& nic_;

@@ -103,11 +103,6 @@ struct RegistryReplication {
   /// A replica silent past miss_threshold heartbeat periods has lost its
   /// lease: lease = heartbeat_period × miss_threshold.
   int miss_threshold = 3;
-  /// Channel-id headroom a new leader skips on takeover, covering id
-  /// assignments the dead leader made whose sync frames were still in
-  /// flight. Ids stay small and dense (the client indexes a vector by id),
-  /// just never collide across a failover.
-  ChannelId failover_id_gap = 64;
   /// Client-side channel cache (lease-stamped local table in kecho::Node).
   bool client_cache = true;
   /// A cached record older than this is expired at lookup time; the lease

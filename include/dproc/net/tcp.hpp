@@ -2,9 +2,11 @@
 //
 // Go-back-N acknowledgment with slow start / AIMD congestion control, RTO
 // with exponential backoff, fast retransmit on three duplicate ACKs, and
-// EWMA RTT estimation with Karn's rule. Segments never span message
-// boundaries, so a cumulative ACK always lands on a segment edge and the
-// segment carrying a message's last byte also carries the reassembled
+// EWMA RTT estimation with Karn's rule. A handshake unanswered after eight
+// SYNs closes the connection, and so does outstanding data that sees no ACK
+// progress for `TcpConfig::give_up_after`, when set. Segments never span
+// message boundaries, so a cumulative ACK always lands on a segment edge and
+// the segment carrying a message's last byte also carries the reassembled
 // payload pointer.
 //
 // KECho channels and the SmartPointer stream both run over this transport;
@@ -32,6 +34,11 @@ struct TcpConfig {
   double initial_ssthresh = 64.0;  // segments
   SimDuration min_rto = milliseconds(10.0);
   SimDuration max_rto = seconds(2.0);
+  /// Outstanding data with no ACK progress for this long closes the
+  /// connection at its next timeout (RFC 1122's R2); zero retransmits until
+  /// the peer answers. Set only by an owner that replaces a closed
+  /// connection, since a closed one drops what it is sent.
+  SimDuration give_up_after = SimDuration::zero();
 };
 
 struct TcpStats {
@@ -69,6 +76,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void send(MessagePtr message);
 
   [[nodiscard]] bool established() const { return established_; }
+  /// True once close() ran or the connection gave up on its peer; send()
+  /// then drops.
+  [[nodiscard]] bool closed() const { return closed_; }
   [[nodiscard]] NodeId local_node() const { return nic_ ? nic_->node() : 0; }
   [[nodiscard]] NodeId remote_node() const { return remote_; }
   [[nodiscard]] std::uint64_t flow_id() const { return flow_id_; }
@@ -157,6 +167,9 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   sim::EventHandle rto_event_;
   SimDuration rto_;
   int syn_attempts_ = 0;
+  // Last ACK progress, or the start of the flight when nothing was in
+  // flight before it: the clock give_up_after runs on.
+  SimTime progress_at_;
 
   // RTT probe (single outstanding, Karn-safe).
   bool probe_active_ = false;

@@ -36,7 +36,6 @@ namespace dproc::telemetry {
 /// golden trace is byte-identical.
 struct FlightConfig {
   bool enabled = false;
-  std::size_t capacity = 1024;  // events retained per host
 };
 
 enum class Severity : std::uint8_t {

@@ -15,6 +15,11 @@ constexpr double kScaleFloor = 1e-9;
 /// overhead sample (e.g. a partition-heal receive burst) must not fling
 /// every period straight to max in a single round.
 constexpr double kMaxClampFactor = 8.0;
+/// EWMA smoothing for per-metric change rates and magnitude scales.
+constexpr double kEwmaAlpha = 0.3;
+/// Multiplicative period moves per round (decrease/increase).
+constexpr double kTightenFactor = 0.5;
+constexpr double kRelaxFactor = 1.5;
 }  // namespace
 
 PeriodController::PeriodController(AdaptConfig config, SimDuration base_period)
@@ -44,7 +49,6 @@ void PeriodController::add_region(std::string module, MetricId first,
 void PeriodController::observe(
     const std::vector<MetricSample>& collected,
     const std::vector<PublishedState>& last_published) {
-  const double alpha = std::clamp(config_.ewma_alpha, 0.0, 1.0);
   for (const MetricSample& s : collected) {
     if (s.id >= metrics_.size()) continue;
     MetricState& m = metrics_[s.id];
@@ -61,10 +65,10 @@ void PeriodController::observe(
     }
     const double delta = std::abs(s.value - baseline);
     const double magnitude = std::abs(s.value);
-    m.scale = m.seen ? (1.0 - alpha) * m.scale + alpha * magnitude
+    m.scale = m.seen ? (1.0 - kEwmaAlpha) * m.scale + kEwmaAlpha * magnitude
                      : magnitude;
     const double norm = delta / std::max(m.scale, kScaleFloor);
-    m.rate = m.seen ? (1.0 - alpha) * m.rate + alpha * norm : norm;
+    m.rate = m.seen ? (1.0 - kEwmaAlpha) * m.rate + kEwmaAlpha * norm : norm;
     m.prev = s.value;
     m.seen = true;
   }
@@ -89,10 +93,10 @@ bool PeriodController::adapt(double measured_overhead) {
     SimDuration next = region.period;
     if (score > config_.accuracy_target) {
       next = std::max(config_.min_period,
-                      region.period * config_.tighten_factor);
+                      region.period * kTightenFactor);
       if (next != region.period) ++tightened_;
     } else if (score < config_.accuracy_target * 0.5) {
-      next = std::min(config_.max_period, region.period * config_.relax_factor);
+      next = std::min(config_.max_period, region.period * kRelaxFactor);
       if (next != region.period) ++relaxed_;
     }
     if (next != region.period) {

@@ -5,6 +5,17 @@
 
 namespace dproc::core {
 
+namespace {
+/// Flight events each host's recorder retains.
+constexpr std::size_t kFlightEventsPerHost = 1024;
+// The stock per-PID TOP_K module: ranks it publishes and refreshes for
+// topk()/topkid(), its entity population and the skew of its deterministic
+// per-PID load. Its sketch takes the default SketchParams.
+constexpr std::size_t kTopKRanks = 8;
+constexpr std::size_t kTopKProcesses = 1000;
+constexpr double kTopKZipfS = 1.2;
+}  // namespace
+
 Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
     : engine_(engine), config_(std::move(config)) {
   if (config_.node_count == 0) {
@@ -68,7 +79,7 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
     if (config_.self_monitor) node.host->telemetry().set_enabled(true);
     if (config_.trace.enabled) node.host->telemetry().set_trace_enabled(true);
     if (config_.flight.enabled) {
-      node.host->flight().configure(config_.flight.capacity);
+      node.host->flight().configure(kFlightEventsPerHost);
       node.host->flight().set_enabled(true);
     }
     node.nic = std::make_unique<net::Nic>(*fabric_, node_ids[i]);
@@ -181,9 +192,9 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
     // its metric ids are uniform cluster-wide; its sketch also becomes the
     // node's filter sketch host (first TopKMonitor registered).
     if (config_.sketch.enabled) {
-      auto topk = make_topk_process_monitor(
-          config_.sketch.k, config_.sketch.process_count, config_.sketch.zipf_s,
-          config_.seed ^ (0x70cbULL + i), config_.sketch.params);
+      auto topk = make_topk_process_monitor(kTopKRanks, kTopKProcesses,
+                                            kTopKZipfS,
+                                            config_.seed ^ (0x70cbULL + i));
       node.dmon->register_module(std::move(topk));
     }
     // Appended last on every dproc node so the cluster-wide metric-id

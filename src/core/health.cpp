@@ -10,6 +10,22 @@ namespace dproc::core {
 
 namespace {
 
+/// Windowed-delta entries retained per tracked series.
+constexpr std::size_t kHistoryDepth = 32;
+// Score weights: penalty = weight x (fraction of the score window with a
+// nonzero delta), except staleness which scales with the fraction of peers
+// not live. They sum to 100, so a node failing on every axis bottoms out
+// at 0.
+constexpr double kWeightDrops = 20.0;
+constexpr double kWeightStale = 30.0;
+constexpr double kWeightSlo = 20.0;
+constexpr double kWeightCollect = 10.0;
+constexpr double kWeightEvict = 20.0;
+/// Incident bundles retained (oldest evicted first).
+constexpr std::size_t kIncidentCapacity = 8;
+/// Flight events frozen into each bundle (the newest tail of the ring).
+constexpr std::size_t kIncidentEvents = 128;
+
 /// Sum over the newest min(window, size) entries.
 double window_sum(const MetricHistory& history, std::size_t window) {
   const std::size_t n = std::min(window, history.size());
@@ -52,13 +68,12 @@ HealthEngine::HealthEngine(host::Host& host, telemetry::FlightRecorder* flight,
       {"kecho/evictions", &tm.counter("kecho", "evictions")},
       {"registry/failovers", &tm.counter("registry", "failovers")},
   };
-  const std::size_t depth = std::max<std::size_t>(config_.history_depth, 1);
   for (const auto& [name, counter] : counters) {
     series_.push_back(
-        Series{name, counter, counter->value(), MetricHistory{depth}});
+        Series{name, counter, counter->value(), MetricHistory{kHistoryDepth}});
   }
   for (const char* name : {"peers/stale", "health/score"}) {
-    series_.push_back(Series{name, nullptr, 0, MetricHistory{depth}});
+    series_.push_back(Series{name, nullptr, 0, MetricHistory{kHistoryDepth}});
   }
   for (Series& s : series_) s.history.reserve();
   series_names_.reserve(series_.size());
@@ -129,12 +144,12 @@ void HealthEngine::on_poll(const HealthSnapshot& snapshot, SimTime now) {
                 static_cast<double>(snapshot.peers_total)
           : 0.0;
   const double penalty =
-      config_.weight_drops * active("net/drops") +
-      config_.weight_slo * active("trace/slo_violations") +
-      config_.weight_collect * active("dmon/collect_errors") +
-      config_.weight_evict * std::max(active("kecho/evictions"),
-                                      active("registry/failovers")) +
-      config_.weight_stale * stale_frac;
+      kWeightDrops * active("net/drops") +
+      kWeightSlo * active("trace/slo_violations") +
+      kWeightCollect * active("dmon/collect_errors") +
+      kWeightEvict * std::max(active("kecho/evictions"),
+                              active("registry/failovers")) +
+      kWeightStale * stale_frac;
   score_ = std::clamp(100.0 - penalty, 0.0, 100.0);
   if (Series* self = find_series("health/score")) self->history.push(score_);
   tm_score_.set(score_);
@@ -196,7 +211,7 @@ void HealthEngine::open_incident(const std::string& trigger, SimTime now) {
     snapshot_scratch_.clear();
     flight_->snapshot(snapshot_scratch_);
     const std::size_t keep =
-        std::min(config_.incident_events, snapshot_scratch_.size());
+        std::min(kIncidentEvents, snapshot_scratch_.size());
     bundle.events.assign(snapshot_scratch_.end() - static_cast<long>(keep),
                          snapshot_scratch_.end());
   }
@@ -210,7 +225,7 @@ void HealthEngine::open_incident(const std::string& trigger, SimTime now) {
     bundle.history.emplace_back(s.name, std::move(values));
   }
   incidents_.push_back(std::move(bundle));
-  if (incidents_.size() > std::max<std::size_t>(config_.incident_capacity, 1)) {
+  if (incidents_.size() > kIncidentCapacity) {
     incidents_.erase(incidents_.begin());
   }
 }

@@ -6,12 +6,11 @@
 #include "dproc/ecode/fold.hpp"
 #include "dproc/ecode/lexer.hpp"
 #include "dproc/ecode/parser.hpp"
-#include "dproc/ecode/peephole.hpp"
 
 namespace dproc::ecode {
 
-Result<Filter> Filter::compile(std::string_view source, const CompileEnv& env,
-                               CompileOptions options) {
+Result<Filter> Filter::compile(std::string_view source,
+                               const CompileEnv& env) {
   auto tokens = Lexer{source}.tokenize();
   if (!tokens) return tokens.status();
 
@@ -20,11 +19,8 @@ Result<Filter> Filter::compile(std::string_view source, const CompileEnv& env,
 
   Program ast = std::move(program).value();
   if (Status status = Sema{env}.analyze(ast); !status) return status;
-  if (options.fold_constants) fold_constants(ast);
-
-  Bytecode code = Compiler{}.compile(ast);
-  if (options.peephole) peephole_optimize(code);
-  return Filter{std::string{source}, std::move(code)};
+  fold_constants(ast);
+  return Filter{std::string{source}, Compiler{}.compile(ast)};
 }
 
 const char* to_string(Op op) {
@@ -38,7 +34,6 @@ const char* to_string(Op op) {
     case Op::kStoreLocal: return "store_local";
     case Op::kDup: return "dup";
     case Op::kPop: return "pop";
-    case Op::kSwap: return "swap";
     case Op::kLoadInput: return "load_input";
     case Op::kLoadOutput: return "load_output";
     case Op::kStoreOutput: return "store_output";
@@ -72,18 +67,6 @@ const char* to_string(Op op) {
     case Op::kJmpIfTrue: return "jmp_if_true";
     case Op::kReturn: return "return";
     case Op::kHalt: return "halt";
-    case Op::kLoadInputImm: return "load_input_imm";
-    case Op::kLoadInputField: return "load_input_field";
-    case Op::kLoadInputFieldImm: return "load_input_field_imm";
-    case Op::kAddImmI: return "add_imm_i";
-    case Op::kStoreLocalPop: return "store_local_pop";
-    case Op::kCmpJmpIfFalse: return "cmp_jmp_if_false";
-    case Op::kCmpJmpIfTrue: return "cmp_jmp_if_true";
-    case Op::kCmpImmJmpIfFalse: return "cmp_imm_jmp_if_false";
-    case Op::kCmpImmJmpIfTrue: return "cmp_imm_jmp_if_true";
-    case Op::kStoreOutputPop: return "store_output_pop";
-    case Op::kLocalAddImm: return "local_add_imm";
-    case Op::kCopyInputToOutput: return "copy_input_to_output";
   }
   return "?";
 }
@@ -95,8 +78,6 @@ std::string Bytecode::disassemble() const {
     out << i << ": " << to_string(insn.op);
     switch (insn.op) {
       case Op::kPushInt:
-      case Op::kLoadInputImm:
-      case Op::kAddImmI:
         out << " " << insn.imm_i;
         break;
       case Op::kPushFloat:
@@ -109,30 +90,12 @@ std::string Bytecode::disassemble() const {
       case Op::kJmpIfTrue:
       case Op::kFieldGet:
       case Op::kOutputFieldSet:
-      case Op::kLoadInputField:
-      case Op::kStoreLocalPop:
         out << " " << insn.arg;
         break;
       case Op::kLocalFieldSet:
       case Op::kCallBuiltin:
       case Op::kCallSketch:
-      case Op::kCmpJmpIfFalse:
-      case Op::kCmpJmpIfTrue:
         out << " " << insn.arg << " " << insn.arg2;
-        break;
-      case Op::kLoadInputFieldImm:
-      case Op::kLocalAddImm:
-      case Op::kCopyInputToOutput:
-        out << " " << insn.imm_i << " " << insn.arg;
-        break;
-      case Op::kCmpImmJmpIfFalse:
-      case Op::kCmpImmJmpIfTrue:
-        out << " " << insn.arg << " " << insn.arg2;
-        if ((insn.arg2 & kCmpImmFloatBit) != 0) {
-          out << " " << insn.imm_f;
-        } else {
-          out << " " << insn.imm_i;
-        }
         break;
       default:
         break;

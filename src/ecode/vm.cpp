@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <utility>
 
 #include "arith.hpp"
 
@@ -28,8 +27,8 @@ Status sample_operand_error(std::size_t pc) {
                                   at_pc(pc));
 }
 
-// Comparison predicate for both the plain kLt..kNe block and the fused
-// compare-and-branch superinstructions; `which` is the offset from kLt.
+// Comparison predicate for the kLt..kNe block; `which` is the offset from
+// kLt.
 template <typename T>
 bool compare_values(int which, T x, T y) {
   switch (which) {
@@ -149,7 +148,7 @@ Status Vm::run(const Bytecode& code, std::span<const Sample> input,
   const auto pop = [&]() -> Value { return *--sp; };
   // The fuel *limit* is enforced at control-flow edges only: straight-line
   // code cannot loop, so any runaway program hits a jump check. The
-  // counter itself stays exact (superinstruction widths included).
+  // counter itself stays exact: one unit per instruction executed.
   const auto out_of_fuel = [&]() { return fuel > limits_.max_instructions; };
   const auto fuel_error = [&]() {
     return Status{StatusCode::kResourceExhausted,
@@ -185,7 +184,7 @@ Status Vm::run(const Bytecode& code, std::span<const Sample> input,
   // continues the loop after setting pc (a taken jump), or returns.
   while (pc < end) {
     const Insn& insn = insns[pc];
-    fuel += insn.width;
+    ++fuel;
     switch (insn.op) {
       case Op::kPushInt:
         push(from_int(insn.imm_i));
@@ -202,34 +201,17 @@ Status Vm::run(const Bytecode& code, std::span<const Sample> input,
       case Op::kStoreLocal:
         locals_[static_cast<std::size_t>(insn.arg)] = sp[-1];
         break;
-      case Op::kStoreLocalPop:
-        locals_[static_cast<std::size_t>(insn.arg)] = sp[-1];
-        --sp;
-        break;
       case Op::kDup:
         push(sp[-1]);
         break;
       case Op::kPop:
         --sp;
         break;
-      case Op::kSwap:
-        std::swap(sp[-1], sp[-2]);
-        break;
 
       case Op::kLoadInput: {
         const Value idxv = pop();
         VM_CHECK_NUM(idxv);
         const std::int64_t idx = as_int(idxv);
-        if (idx < 0 || static_cast<std::size_t>(idx) >= input.size()) {
-          return Status::invalid_argument(
-              "input index " + std::to_string(idx) + " out of range [0, " +
-              std::to_string(input.size()) + ")" + at_pc(pc));
-        }
-        push(from_sample(input[static_cast<std::size_t>(idx)]));
-        break;
-      }
-      case Op::kLoadInputImm: {
-        const std::int64_t idx = insn.imm_i;
         if (idx < 0 || static_cast<std::size_t>(idx) >= input.size()) {
           return Status::invalid_argument(
               "input index " + std::to_string(idx) + " out of range [0, " +
@@ -253,8 +235,7 @@ Status Vm::run(const Bytecode& code, std::span<const Sample> input,
                              : Sample{}));
         break;
       }
-      case Op::kStoreOutput:
-      case Op::kStoreOutputPop: {
+      case Op::kStoreOutput: {
         const Value value = pop();
         const Value idxv = pop();
         VM_CHECK_NUM(idxv);
@@ -269,7 +250,7 @@ Status Vm::run(const Bytecode& code, std::span<const Sample> input,
                                   at_pc(pc));
         }
         touch_output(idx) = value.s;
-        if (insn.op == Op::kStoreOutput) push(value);
+        push(value);
         break;
       }
       case Op::kFieldGet: {
@@ -289,34 +270,6 @@ Status Vm::run(const Bytecode& code, std::span<const Sample> input,
             break;
           case SampleField::kTimestamp:
             push(from_int(base.s.timestamp_ns));
-            break;
-        }
-        break;
-      }
-      case Op::kLoadInputField:
-      case Op::kLoadInputFieldImm: {
-        std::int64_t idx;
-        if (insn.op == Op::kLoadInputFieldImm) {
-          idx = insn.imm_i;
-        } else {
-          const Value idxv = pop();
-          VM_CHECK_NUM(idxv);
-          idx = as_int(idxv);
-        }
-        if (idx < 0 || static_cast<std::size_t>(idx) >= input.size()) {
-          return Status::invalid_argument(
-              "input index " + std::to_string(idx) + " out of range [0, " +
-              std::to_string(input.size()) + ")" + at_pc(pc));
-        }
-        const Sample& s = input[static_cast<std::size_t>(idx)];
-        switch (static_cast<SampleField>(insn.arg)) {
-          case SampleField::kValue: push(from_double(s.value)); break;
-          case SampleField::kLastValueSent:
-            push(from_double(s.last_value_sent));
-            break;
-          case SampleField::kId: push(from_int(s.id)); break;
-          case SampleField::kTimestamp:
-            push(from_int(s.timestamp_ns));
             break;
         }
         break;
@@ -414,44 +367,6 @@ Status Vm::run(const Bytecode& code, std::span<const Sample> input,
         }
         break;
       }
-      case Op::kAddImmI: {
-        Value& top = sp[-1];
-        VM_CHECK_NUM(top);
-        if (top.kind == Kind::kDouble) {
-          top.d += static_cast<double>(insn.imm_i);
-        } else {
-          top = from_int(arith::add(as_int(top), insn.imm_i));
-        }
-        break;
-      }
-      case Op::kLocalAddImm: {
-        Value& local = locals_[static_cast<std::size_t>(insn.arg)];
-        VM_CHECK_NUM(local);
-        if (local.kind == Kind::kDouble) {
-          local.d += static_cast<double>(insn.imm_i);
-        } else {
-          local = from_int(arith::add(as_int(local), insn.imm_i));
-        }
-        break;
-      }
-      case Op::kCopyInputToOutput: {
-        const std::int64_t in_idx = insn.imm_i;
-        if (in_idx < 0 || static_cast<std::size_t>(in_idx) >= input.size()) {
-          return Status::invalid_argument(
-              "input index " + std::to_string(in_idx) + " out of range [0, " +
-              std::to_string(input.size()) + ")" + at_pc(pc));
-        }
-        const Value& local = locals_[static_cast<std::size_t>(insn.arg)];
-        VM_CHECK_NUM(local);
-        const std::int64_t out_idx = as_int(local);
-        if (out_idx < 0 || out_idx > limits_.max_output_index) {
-          return Status::invalid_argument("output index " +
-                                          std::to_string(out_idx) +
-                                          " out of range" + at_pc(pc));
-        }
-        touch_output(out_idx) = input[static_cast<std::size_t>(in_idx)];
-        break;
-      }
       case Op::kMod: {
         const Value bv = pop();
         const Value av = pop();
@@ -534,42 +449,6 @@ Status Vm::run(const Bytecode& code, std::span<const Sample> input,
                            ? compare_values(which, as_double(a), as_double(b))
                            : compare_values(which, a.i, b.i);
         push(from_int(r ? 1 : 0));
-        break;
-      }
-
-      case Op::kCmpJmpIfFalse:
-      case Op::kCmpJmpIfTrue: {
-        const Value b = pop();
-        const Value a = pop();
-        VM_CHECK_NUM(a);
-        VM_CHECK_NUM(b);
-        const bool r = a.kind == Kind::kDouble || b.kind == Kind::kDouble
-                           ? compare_values(insn.arg2 & 7, as_double(a),
-                                            as_double(b))
-                           : compare_values(insn.arg2 & 7, a.i, b.i);
-        if (r == (insn.op == Op::kCmpJmpIfTrue)) {
-          if (out_of_fuel()) return fuel_error();
-          pc = static_cast<std::size_t>(insn.arg);
-          continue;
-        }
-        break;
-      }
-      case Op::kCmpImmJmpIfFalse:
-      case Op::kCmpImmJmpIfTrue: {
-        const Value a = pop();
-        VM_CHECK_NUM(a);
-        const bool imm_float = (insn.arg2 & kCmpImmFloatBit) != 0;
-        const bool r =
-            a.kind == Kind::kDouble || imm_float
-                ? compare_values(insn.arg2 & 7, as_double(a),
-                                 imm_float ? insn.imm_f
-                                           : static_cast<double>(insn.imm_i))
-                : compare_values(insn.arg2 & 7, a.i, insn.imm_i);
-        if (r == (insn.op == Op::kCmpImmJmpIfTrue)) {
-          if (out_of_fuel()) return fuel_error();
-          pc = static_cast<std::size_t>(insn.arg);
-          continue;
-        }
         break;
       }
 

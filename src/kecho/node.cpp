@@ -13,6 +13,10 @@ namespace {
 /// channel (4) + source (4) + submit time (8) + payload header length (4).
 constexpr std::size_t kFrameHeaderBytes = 20;
 
+/// RFC 1122 §4.2.3.5's R2, at its floor: a peer transport whose data sees
+/// no ACK progress this long closes, and transport_to replaces it.
+constexpr SimDuration kTransportGiveUp = seconds(100.0);
+
 /// Event frame carried over the peer transport: fixed header + the
 /// application payload's encoded header + (only when tracing) one
 /// TraceContext trailer; bulk rides as declared body bytes. The frame
@@ -73,31 +77,48 @@ const net::TraceContext* Channel::stamp_submit(net::TraceContext& trace) {
   return &trace;
 }
 
-SimDuration Channel::submit(const net::MessagePtr& payload,
-                            net::TraceContext trace) {
+// The one fan-out loop: `select(member)` names the payload that member
+// receives, or null to skip it. One wire frame is encoded per distinct
+// payload and shared by every member that selected it (the common case is
+// one payload per interest group, so the cache is a short linear scan keyed
+// by payload identity). Each member sent to is charged its own frame's
+// marshalling cost and has its heartbeat suppressed; the submission is
+// counted, sampled and spanned once however many members it reached.
+template <typename Select>
+SimDuration Channel::fan_out(net::TraceContext trace, const Select& select) {
   const net::TraceContext* traced = stamp_submit(trace);
   ++submitted_;
   const KechoCosts& costs = node_.costs();
   const SimTime now = node_.host().engine().now();
-  const net::MessagePtr frame =
-      encode_event(id_, node_.nic().node(), now, payload, traced);
-  // Every member is charged the same marshalling cost for the same frame;
-  // compute it once outside the fan-out loop.
-  const double per_member_cycles =
-      costs.submit_base_cycles +
-      costs.submit_per_byte_cycles * static_cast<double>(frame->size());
+  double cycles = 0.0;
   for (const Member& member : members_) {
+    const auto& payload = select(member);
+    if (payload == nullptr) continue;
+    const net::MessagePtr* cached = nullptr;
+    for (const auto& [key, encoded] : frames_scratch_) {
+      if (key == payload.get()) {
+        cached = &encoded;
+        break;
+      }
+    }
+    if (cached == nullptr) {
+      frames_scratch_.emplace_back(
+          payload.get(),
+          encode_event(id_, node_.nic().node(), now, payload, traced));
+      cached = &frames_scratch_.back().second;
+    }
+    const net::MessagePtr& frame = *cached;
     if (transport_ == ChannelTransport::kDatagram) {
       node_.nic().send_datagram(member.node, Node::kDatagramEventPort, frame,
                                 Node::kDatagramEventPort);
     } else {
       node_.transport_to(member.node)->send(frame);
     }
+    cycles += costs.submit_base_cycles +
+              costs.submit_per_byte_cycles * static_cast<double>(frame->size());
+    if (node_.liveness_.enabled) node_.note_sent(member.node);
   }
-  if (node_.liveness_.enabled && !members_.empty()) {
-    node_.note_submission(members_);
-  }
-  const double cycles = per_member_cycles * static_cast<double>(members_.size());
+  frames_scratch_.clear();
   const SimDuration cost =
       seconds(cycles / node_.host().cpu().config().clock_hz);
   if (cost > SimDuration::zero()) node_.host().cpu().consume_kernel(cost);
@@ -109,90 +130,33 @@ SimDuration Channel::submit(const net::MessagePtr& payload,
   return cost;
 }
 
+SimDuration Channel::submit(const net::MessagePtr& payload,
+                            net::TraceContext trace) {
+  return fan_out(trace, [&payload](const Member&) -> const net::MessagePtr& {
+    return payload;
+  });
+}
+
 SimDuration Channel::submit_to(net::NodeId member,
                                const net::MessagePtr& payload,
                                net::TraceContext trace) {
-  const net::TraceContext* traced = stamp_submit(trace);
-  ++submitted_;
-  const Member* target = nullptr;
-  for (const Member& m : members_) {
-    if (m.node == member) {
-      target = &m;
-      break;
-    }
+  const auto target =
+      std::find_if(members_.begin(), members_.end(),
+                   [member](const Member& m) { return m.node == member; });
+  if (target == members_.end()) {  // not (yet) a member: nothing is sent
+    stamp_submit(trace);
+    ++submitted_;
+    return SimDuration::zero();
   }
-  if (target == nullptr) return SimDuration::zero();  // not (yet) a member
-  const KechoCosts& costs = node_.costs();
-  const SimTime now = node_.host().engine().now();
-  const net::MessagePtr frame =
-      encode_event(id_, node_.nic().node(), now, payload, traced);
-  if (transport_ == ChannelTransport::kDatagram) {
-    node_.nic().send_datagram(target->node, Node::kDatagramEventPort, frame,
-                              Node::kDatagramEventPort);
-  } else {
-    node_.transport_to(target->node)->send(frame);
-  }
-  if (node_.liveness_.enabled) {
-    // Only the targeted member got a frame; only its heartbeat suppresses.
-    single_member_scratch_.assign(1, *target);
-    node_.note_submission(single_member_scratch_);
-  }
-  const double cycles =
-      costs.submit_base_cycles +
-      costs.submit_per_byte_cycles * static_cast<double>(frame->size());
-  const SimDuration cost =
-      seconds(cycles / node_.host().cpu().config().clock_hz);
-  if (cost > SimDuration::zero()) node_.host().cpu().consume_kernel(cost);
-  node_.tm_submits_.add();
-  node_.tm_submit_us_.record(cost);
-  node_.host().telemetry().record_span("kecho", "submit", now, now + cost);
-  return cost;
+  return fan_out(trace, [&](const Member& m) {
+    return &m == &*target ? payload : net::MessagePtr{};
+  });
 }
 
 SimDuration Channel::submit_to_each(const PayloadSelector& select,
                                     net::TraceContext trace) {
-  const net::TraceContext* traced = stamp_submit(trace);
-  ++submitted_;
-  const KechoCosts& costs = node_.costs();
-  const SimTime now = node_.host().engine().now();
-  // One wire frame per *distinct* payload, shared by every member that
-  // selected it — the common case is one payload per interest group, so
-  // the cache is a short linear scan keyed by payload identity.
-  std::vector<std::pair<const net::Message*, net::MessagePtr>> frames;
-  std::vector<Member> sent;
-  double cycles = 0.0;
-  for (const Member& member : members_) {
-    const net::MessagePtr payload = select(member.node);
-    if (payload == nullptr) continue;  // member opted out of this event
-    net::MessagePtr frame;
-    for (const auto& [key, cached] : frames) {
-      if (key == payload.get()) {
-        frame = cached;
-        break;
-      }
-    }
-    if (frame == nullptr) {
-      frame = encode_event(id_, node_.nic().node(), now, payload, traced);
-      frames.emplace_back(payload.get(), frame);
-    }
-    if (transport_ == ChannelTransport::kDatagram) {
-      node_.nic().send_datagram(member.node, Node::kDatagramEventPort, frame,
-                                Node::kDatagramEventPort);
-    } else {
-      node_.transport_to(member.node)->send(frame);
-    }
-    cycles += costs.submit_base_cycles +
-              costs.submit_per_byte_cycles * static_cast<double>(frame->size());
-    if (node_.liveness_.enabled) sent.push_back(member);
-  }
-  if (node_.liveness_.enabled && !sent.empty()) node_.note_submission(sent);
-  const SimDuration cost =
-      seconds(cycles / node_.host().cpu().config().clock_hz);
-  if (cost > SimDuration::zero()) node_.host().cpu().consume_kernel(cost);
-  node_.tm_submits_.add();
-  node_.tm_submit_us_.record(cost);
-  node_.host().telemetry().record_span("kecho", "submit", now, now + cost);
-  return cost;
+  return fan_out(trace,
+                 [&select](const Member& m) { return select(m.node); });
 }
 
 std::size_t Channel::remote_member_count() const { return members_.size(); }
@@ -472,12 +436,9 @@ void Node::notify_membership(MemberEventKind kind, net::NodeId node) {
   }
 }
 
-void Node::note_submission(const std::vector<Member>& members) {
-  const SimTime now = host_.engine().now();
-  for (const Member& member : members) {
-    auto it = peer_liveness_.find(member.node);
-    if (it != peer_liveness_.end()) it->second.last_sent = now;
-  }
+void Node::note_sent(net::NodeId peer) {
+  auto it = peer_liveness_.find(peer);
+  if (it != peer_liveness_.end()) it->second.last_sent = host_.engine().now();
 }
 
 void Node::announce_leave() {
@@ -762,12 +723,16 @@ void Node::on_registry_datagram(const net::MessagePtr& message) {
 }
 
 net::TcpConnection::Ptr& Node::transport_to(net::NodeId peer) {
-  auto it = transports_.find(peer);
-  if (it == transports_.end()) {
-    auto conn = net::TcpConnection::connect(nic_, peer, kChannelPort);
-    conn->set_message_handler(
+  // A cached connection that gave up on its peer (handshake or data) drops
+  // every send, so it is replaced by a fresh one (a new handshake, a new
+  // flow).
+  auto [it, inserted] = transports_.try_emplace(peer);
+  if (inserted || it->second->closed()) {
+    net::TcpConfig config;
+    config.give_up_after = kTransportGiveUp;
+    it->second = net::TcpConnection::connect(nic_, peer, kChannelPort, config);
+    it->second->set_message_handler(
         [this](const net::MessagePtr& m) { on_peer_message(m); });
-    it = transports_.emplace(peer, std::move(conn)).first;
   }
   return it->second;
 }

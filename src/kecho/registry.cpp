@@ -10,6 +10,12 @@
 namespace dproc::kecho {
 
 namespace {
+/// Channel-id headroom a new leader skips on takeover, covering id
+/// assignments the dead leader made whose sync frames were still in
+/// flight. Ids stay small and dense (the client indexes a vector by id),
+/// just never collide across a failover.
+constexpr ChannelId kFailoverIdGap = 64;
+
 net::MessagePtr encode_join_response(const std::string& name, ChannelId id,
                                      const std::vector<Member>& members) {
   net::ByteWriter w;
@@ -351,7 +357,7 @@ void RegistryServer::become_leader() {
   // Skip past any ids the dead leader may have assigned whose sync frames
   // never arrived: ids stay dense enough for the clients' id-indexed
   // channel tables, but can never collide across a failover.
-  next_id_ += rep_.failover_id_gap;
+  next_id_ += kFailoverIdGap;
   was_leader_ = true;
   ++stats_.failovers;
   if (tm_failovers_) tm_failovers_->add();

@@ -58,7 +58,9 @@ void TcpConnection::start_handshake(std::function<void()> on_established) {
     if (self->established_ || self->closed_) return;
     if (self->syn_attempts_ >= kMaxSynAttempts) {
       DPROC_WARN() << "tcp flow " << self->flow_id_ << ": handshake failed after "
-                   << self->syn_attempts_ << " attempts";
+                   << self->syn_attempts_ << " attempts, closing";
+      self->rto_event_ = {};
+      self->close();
       return;
     }
     self->rto_ = std::min(self->rto_ * 2.0, self->config_.max_rto);
@@ -115,6 +117,7 @@ void TcpConnection::try_transmit() {
         std::min<std::uint64_t>(remaining, config_.mss));
     const bool is_tail = (head_offset_ + len == msg_size);
 
+    if (snd_next_ == snd_una_) progress_at_ = nic_->fabric().engine().now();
     unacked_.push_back(Segment{is_tail ? head : MessagePtr{}, len});
 
     snd_next_ += len;
@@ -210,6 +213,7 @@ void TcpConnection::on_ack_packet(const Packet& packet) {
     }
     counters_.bytes_acked += ack - snd_una_;
     snd_una_ = ack;
+    progress_at_ = nic_->fabric().engine().now();
     // A cursor behind the ACK moves up to it, onto the new oldest entry.
     send_ptr_ = std::max(send_ptr_, snd_una_);
     send_pos_ -= std::min<std::uint64_t>(send_pos_, acked_segments);
@@ -270,6 +274,13 @@ void TcpConnection::cancel_rto() { rto_event_.cancel(); rto_event_ = {}; }
 void TcpConnection::on_rto_expired() {
   rto_event_ = {};
   if (closed_ || snd_next_ == snd_una_) return;
+  if (config_.give_up_after > SimDuration::zero() &&
+      nic_->fabric().engine().now() - progress_at_ >= config_.give_up_after) {
+    DPROC_WARN() << "tcp flow " << flow_id_ << ": no ACK progress for "
+                 << config_.give_up_after.sec() << " s, closing";
+    close();
+    return;
+  }
   ssthresh_ = std::max(cwnd_ / 2.0, 2.0);
   cwnd_ = 1.0;
   rto_ = std::min(rto_ * 2.0, config_.max_rto);

@@ -7,6 +7,7 @@
 
 #include "dproc/ecode/ecode.hpp"
 #include "dproc/util/rng.hpp"
+#include "ecode_unfolded.hpp"
 
 namespace dproc::ecode {
 namespace {
@@ -320,12 +321,11 @@ TEST(ProgramProperty, FoldingPreservesSemanticsOnRandomPrograms) {
     }
     source << "return a * 1000 + b;";
     auto folded = Filter::compile(source.str());
-    auto unfolded = Filter::compile(source.str(), {},
-                                    CompileOptions{.fold_constants = false});
+    auto unfolded = test::compile_unfolded(source.str());
     ASSERT_TRUE(folded.is_ok()) << source.str();
     ASSERT_TRUE(unfolded.is_ok());
     auto folded_run = folded.value().run({});
-    auto unfolded_run = unfolded.value().run({});
+    auto unfolded_run = Vm{}.run(unfolded.value(), {});
     ASSERT_TRUE(folded_run.is_ok());
     ASSERT_TRUE(unfolded_run.is_ok());
     ASSERT_EQ(folded_run.value().return_value.has_value(),
@@ -334,7 +334,7 @@ TEST(ProgramProperty, FoldingPreservesSemanticsOnRandomPrograms) {
                      *unfolded_run.value().return_value)
         << source.str();
     EXPECT_LE(folded.value().bytecode().insns.size(),
-              unfolded.value().bytecode().insns.size());
+              unfolded.value().insns.size());
   }
 }
 

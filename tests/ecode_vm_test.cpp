@@ -3,6 +3,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "dproc/ecode/ecode.hpp"
 
@@ -176,27 +179,35 @@ TEST(Vm, LocalSampleRoundTrip) {
   EXPECT_EQ(result.outputs[0].second.id, 1);
 }
 
-TEST(Vm, PaperFigure3FilterBehaves) {
+// The paper's Figure 3 filter, with its monitoring sources bound.
+const char* const kFigure3Filter = R"({
+  int i = 0;
+  if (input[LOADAVG].value > 2) {
+    output[i] = input[LOADAVG];
+    i = i + 1;
+  }
+  if (input[DISKUSAGE].value > 10000 && input[FREEMEM].value < 50e6) {
+    output[i] = input[DISKUSAGE];
+    i = i + 1;
+    output[i] = input[FREEMEM];
+    i = i + 1;
+  }
+  if (input[CACHE_MISS].value > input[CACHE_MISS].last_value_sent) {
+    output[i] = input[CACHE_MISS];
+    i = i + 1;
+  }
+})";
+
+CompileEnv figure3_env() {
   CompileEnv env;
   env.constants = {{"LOADAVG", 0}, {"DISKUSAGE", 1}, {"FREEMEM", 2},
                    {"CACHE_MISS", 3}};
-  const char* source = R"({
-    int i = 0;
-    if (input[LOADAVG].value > 2) {
-      output[i] = input[LOADAVG];
-      i = i + 1;
-    }
-    if (input[DISKUSAGE].value > 10000 && input[FREEMEM].value < 50e6) {
-      output[i] = input[DISKUSAGE];
-      i = i + 1;
-      output[i] = input[FREEMEM];
-      i = i + 1;
-    }
-    if (input[CACHE_MISS].value > input[CACHE_MISS].last_value_sent) {
-      output[i] = input[CACHE_MISS];
-      i = i + 1;
-    }
-  })";
+  return env;
+}
+
+TEST(Vm, PaperFigure3FilterBehaves) {
+  const CompileEnv env = figure3_env();
+  const char* source = kFigure3Filter;
 
   // Quiet system: nothing passes.
   std::vector<Sample> quiet{
@@ -283,6 +294,163 @@ TEST(Vm, InstructionCountReported) {
   EXPECT_LT(result.instructions_executed, 10u);
 }
 
+// --- fuel pin ---------------------------------------------------------------
+//
+// A filter's modeled cost is its fuel, instructions_executed, which d-mon
+// charges to the publishing kernel. These rows pin the fuel, the return value
+// and every output slot of the filters the benches and the golden trace
+// deploy: the Figure 3 filter on three inputs, the five filters of
+// micro_ecode's corpus, and the filter test_trace_golden deploys on every
+// node. A change to the compiler or the VM that moves a modeled cycle fails
+// here before it reaches a figure.
+
+struct FuelPin {
+  const char* name;
+  const char* source;
+  CompileEnv env;
+  std::vector<Sample> input;
+  std::uint64_t instructions;
+  std::optional<double> return_value;
+  std::vector<std::pair<std::int64_t, Sample>> outputs;
+};
+
+std::vector<Sample> corpus_input() {
+  std::vector<Sample> input;
+  for (int i = 0; i < 8; ++i) {
+    input.push_back({i, 100.0 + i, (i % 2 == 0) ? 90.0 : 100.0 + i, 0});
+  }
+  return input;
+}
+
+const char* const kDeployedFilter = R"({
+  int i = 0;
+  if (input[LOADAVG].value > 0.1) {
+    output[i] = input[LOADAVG];
+    i = i + 1;
+  }
+  if (input[FREEMEM].value < input[FREEMEM].last_value_sent * 0.999) {
+    output[i] = input[FREEMEM];
+    i = i + 1;
+  }
+  if (input[RTT].value > input[RTT].last_value_sent) {
+    output[i] = input[RTT];
+    i = i + 1;
+  }
+  if (input[NET_OUT].value > 0) {
+    output[i] = input[NET_OUT];
+    i = i + 1;
+  }
+})";
+
+std::vector<Sample> deployed_input() {
+  std::vector<Sample> input;
+  for (int i = 0; i < 12; ++i) {
+    input.push_back({i, 0.0, 0.0, 1'000'000'000LL * (i + 1)});
+  }
+  input[0].value = 0.35;
+  input[0].last_value_sent = 0.2;
+  input[2].value = 3.9e9;
+  input[2].last_value_sent = 4.0e9;
+  input[8].value = 1.25e6;
+  input[10].value = 180.5;
+  input[10].last_value_sent = 210.0;
+  return input;
+}
+
+std::vector<FuelPin> fuel_pins() {
+  CompileEnv deployed_env;
+  deployed_env.constants = {
+      {"LOADAVG", 0}, {"FREEMEM", 2}, {"NET_OUT", 8}, {"RTT", 10}};
+  const CompileEnv no_constants;
+  const std::vector<Sample> corpus = corpus_input();
+  const std::vector<Sample> deployed = deployed_input();
+  return {
+      {"figure3_quiet", kFigure3Filter, figure3_env(),
+       {{0, 0.5, 0.5, 0}, {1, 100, 100, 0}, {2, 400e6, 400e6, 0},
+        {3, 50, 50, 0}},
+       26, std::nullopt, {}},
+      {"figure3_loaded", kFigure3Filter, figure3_env(),
+       {{0, 3.0, 0.5, 0}, {1, 20000, 100, 0}, {2, 10e6, 400e6, 0},
+        {3, 99, 50, 0}},
+       72, std::nullopt,
+       {{0, {0, 3.0, 0.5, 0}},
+        {1, {1, 20000, 100, 0}},
+        {2, {2, 10e6, 400e6, 0}},
+        {3, {3, 99, 50, 0}}}},
+      {"figure3_bench", kFigure3Filter, figure3_env(),
+       {{0, 2.5, 0.4, 0}, {1, 20'000, 220, 0}, {2, 41e6, 310e6, 0},
+        {3, 8'812'004, 8'611'220, 0}},
+       72, std::nullopt,
+       {{0, {0, 2.5, 0.4, 0}},
+        {1, {1, 20'000, 220, 0}},
+        {2, {2, 41e6, 310e6, 0}},
+        {3, {3, 8'812'004, 8'611'220, 0}}}},
+      {"corpus_counted_loop",
+       "int s = 0; for (int i = 0; i < 1000; ++i) s += i; return s;",
+       no_constants, corpus, 17012, 499500.0, {}},
+      {"corpus_xorshift",
+       "int h = 12345;\n"
+       "for (int i = 0; i < 600; ++i) {\n"
+       "  h = h ^ (h << 13); h = h ^ (h >> 7); h = h + i;\n"
+       "}\n"
+       "return h % 65536;",
+       no_constants, corpus, 18014, 41564.0, {}},
+      {"corpus_ternaries",
+       "int a = 0; int b = 1;\n"
+       "for (int i = 1; i < 500; ++i) {\n"
+       "  a = (i % 3 == 0) ? a + b : a - 1;\n"
+       "  b = b + (a < 0 ? 1 : 2);\n"
+       "}\n"
+       "return a + b;",
+       no_constants, corpus, 15655, 83166.0, {}},
+      {"corpus_hysteresis",
+       "int state = 0; int flips = 0; int level = 0;\n"
+       "for (int i = 0; i < 500; ++i) {\n"
+       "  level = (level * 13 + 7) % 100;\n"
+       "  if (state == 0) { if (level > 80) { state = 1; flips = flips + 1; } }\n"
+       "  else { if (level < 20) { state = 0; flips = flips + 1; } }\n"
+       "}\n"
+       "return flips * 2 + state;",
+       no_constants, corpus, 14797, 100.0, {}},
+      {"corpus_threshold",
+       "int sent = 0;\n"
+       "for (int i = 0; i < 8; ++i) {\n"
+       "  if (input[i].value > input[i].last_value_sent * 1.05) {\n"
+       "    output[i] = input[i]; sent = sent + 1;\n"
+       "  }\n"
+       "}\n"
+       "return sent;",
+       no_constants, corpus, 220, 4.0,
+       {{0, corpus[0]}, {2, corpus[2]}, {4, corpus[4]}, {6, corpus[6]}}},
+      {"trace_golden_deployed", kDeployedFilter, deployed_env, deployed, 64,
+       std::nullopt,
+       {{0, deployed[0]}, {1, deployed[2]}, {2, deployed[8]}}},
+  };
+}
+
+TEST(Vm, FuelOutputsAndReturnValuesArePinned) {
+  for (const FuelPin& pin : fuel_pins()) {
+    SCOPED_TRACE(pin.name);
+    auto filter = Filter::compile(pin.source, pin.env);
+    ASSERT_TRUE(filter.is_ok()) << filter.status().to_string();
+    // Once on a fresh Vm, once on a warm one reusing its result: both paths
+    // charge the same fuel.
+    auto fresh = filter.value().run(pin.input);
+    ASSERT_TRUE(fresh.is_ok()) << fresh.status().to_string();
+    Vm vm;
+    FilterResult warm;
+    for (int round = 0; round < 2; ++round) {
+      ASSERT_TRUE(vm.run(filter.value().bytecode(), pin.input, warm));
+    }
+    const FilterResult* const results[] = {&fresh.value(), &warm};
+    for (const FilterResult* result : results) {
+      EXPECT_EQ(result->instructions_executed, pin.instructions);
+      EXPECT_EQ(result->return_value, pin.return_value);
+      EXPECT_EQ(result->outputs, pin.outputs);
+    }
+  }
+}
+
 TEST(Vm, BuiltinFunctions) {
   EXPECT_DOUBLE_EQ(ret("return abs(0-5);"), 5.0);
   EXPECT_DOUBLE_EQ(ret("return abs(3.5);"), 3.5);
@@ -344,7 +512,8 @@ TEST(Vm, LocalsShadowBuiltinNamesAsVariables) {
 /// input[0] pushed as a whole sample, then fed to `op`.
 Bytecode sample_into(Op op) {
   Bytecode code;
-  code.insns.push_back(Insn{.op = Op::kLoadInputImm, .arg = 0});
+  code.insns.push_back(Insn{.op = Op::kPushInt, .imm_i = 0});
+  code.insns.push_back(Insn{.op = Op::kLoadInput});
   code.insns.push_back(Insn{.op = Op::kPushInt, .imm_i = 1});
   code.insns.push_back(Insn{.op = op});
   code.insns.push_back(Insn{.op = Op::kHalt});
@@ -372,7 +541,8 @@ TEST(Vm, SampleOperandInUnaryAndReturnIsInvalidArgument) {
   for (const Op op : {Op::kNeg, Op::kNot, Op::kBitNot, Op::kToInt,
                       Op::kToDouble, Op::kToBool, Op::kReturn}) {
     Bytecode code;
-    code.insns.push_back(Insn{.op = Op::kLoadInputImm, .imm_i = 0});
+    code.insns.push_back(Insn{.op = Op::kPushInt, .imm_i = 0});
+    code.insns.push_back(Insn{.op = Op::kLoadInput});
     code.insns.push_back(Insn{.op = op});
     code.insns.push_back(Insn{.op = Op::kHalt});
     Vm vm;
@@ -387,8 +557,9 @@ TEST(Vm, SampleOperandInUnaryAndReturnIsInvalidArgument) {
 
 TEST(Vm, SampleOperandAsJumpConditionIsInvalidArgument) {
   Bytecode code;
-  code.insns.push_back(Insn{.op = Op::kLoadInputImm, .imm_i = 0});
-  code.insns.push_back(Insn{.op = Op::kJmpIfFalse, .arg = 3});
+  code.insns.push_back(Insn{.op = Op::kPushInt, .imm_i = 0});
+  code.insns.push_back(Insn{.op = Op::kLoadInput});
+  code.insns.push_back(Insn{.op = Op::kJmpIfFalse, .arg = 4});
   code.insns.push_back(Insn{.op = Op::kHalt});
   code.insns.push_back(Insn{.op = Op::kHalt});
   Vm vm;
@@ -414,8 +585,8 @@ std::int64_t int_result(const std::string& body) {
 }
 
 TEST(Vm, IntArithmeticWrapsOnOverflow) {
-  // Operands live in locals so the run-time handlers compute, not the
-  // folder: kAdd, kAddImmI (`a + 1`) and kLocalAddImm (`r = r + 1`).
+  // Operands live in locals so the VM's kAdd, kSub, kMul and kNeg handlers
+  // compute, not the folder.
   EXPECT_EQ(
       int_result("int a = 9223372036854775807; int b = 1; int r = a + b;"),
       kIntMin);

@@ -1,5 +1,7 @@
 // KECho channel tests: registry protocol, membership, publish/subscribe
 // delivery, poll semantics, and kernel CPU cost accounting.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "dproc/kecho/node.hpp"
@@ -346,6 +348,53 @@ TEST_F(KechoTest, GracefulLeaveRemovesMemberEverywhere) {
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events[0].first, MemberEventKind::kLeft);
   EXPECT_EQ(events[0].second, nics[1]->node());
+}
+
+TEST_F(KechoTest, DeliversAgainAfterPeerUnreachableLongerThanR2) {
+  // The publisher submits every second through a 150 s outage of the
+  // subscriber. Its transport gives up after R2 (100 s), and each fresh
+  // transport's handshake gives up while the subscriber stays unreachable;
+  // every give-up closes, so the next submit opens another. Once the
+  // subscriber heals, a handshake (at most 2.55 s of SYNs) gets through and
+  // the submits reach it again.
+  Channel& pub = nodes[1]->join("monitor");
+  Channel& sub = nodes[2]->join("monitor");
+  settle();
+  std::vector<std::uint32_t> got;
+  sub.set_handler([&](const Event& event) {
+    net::ByteReader r{event.payload_header()};
+    got.push_back(r.u32());
+  });
+  std::uint32_t tag = 0;
+  const auto submit_each_second = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      net::ByteWriter w;
+      w.u32(tag++);
+      pub.submit(net::make_message(w.take()));
+      settle();
+    }
+    nodes[2]->poll();
+  };
+  submit_each_second(1);
+  ASSERT_EQ(got, std::vector<std::uint32_t>{0});
+
+  fabric.set_node_down(nics[2]->node(), true);
+  submit_each_second(150);
+  EXPECT_EQ(got.size(), 1u);
+  fabric.set_node_down(nics[2]->node(), false);
+  const std::uint32_t healed_at = tag;
+  submit_each_second(10);
+
+  // Frames queued in a transport that gave up are lost; every frame
+  // submitted once a post-heal handshake had time to finish arrives, in
+  // order and once.
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+  EXPECT_EQ(std::adjacent_find(got.begin(), got.end()), got.end());
+  ASSERT_GE(got.size(), 7u);
+  const std::vector<std::uint32_t> late(got.end() - 7, got.end());
+  std::vector<std::uint32_t> expected(7);
+  for (std::uint32_t i = 0; i < 7; ++i) expected[i] = healed_at + 3 + i;
+  EXPECT_EQ(late, expected);
 }
 
 // Liveness-enabled variant of the fixture: short heartbeat period so that

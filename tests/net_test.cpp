@@ -813,6 +813,75 @@ TEST_F(TcpTest, UnregisteringAMiddleFlowAndUnknownFlowSegments) {
   EXPECT_EQ(got.count(middle), 0u);
 }
 
+TEST_F(TcpTest, GivesUpOnAPeerSilentForR2) {
+  // The peer's uplink goes down for good, so nothing the client sends is
+  // ever acknowledged. give_up_after (RFC 1122's R2, 100 s) after the flight
+  // began, plus at most one max_rto to reach the next timeout, the
+  // connection has closed, left the NIC's flow table and stopped
+  // retransmitting.
+  TcpListener listener{*nic_b, 80, TcpConfig{}, [](TcpConnection::Ptr) {}};
+  TcpConfig config;
+  config.give_up_after = seconds(100.0);
+  auto client = TcpConnection::connect(*nic_a, b, 80, config);
+  engine.run();
+  ASSERT_TRUE(client->established());
+
+  fabric.set_link_down(ports[1].first, true);
+  const SimTime flight_at = engine.now();
+  client->send(make_message({}, 4096));
+  engine.run_until(flight_at + config.give_up_after + config.max_rto);
+  EXPECT_TRUE(client->closed());
+  EXPECT_TRUE(flow_ids(*nic_a).empty());
+  const std::uint64_t retransmissions = client->stats().retransmissions;
+  const std::uint64_t sent = fabric.stats().packets_sent;
+  EXPECT_GT(retransmissions, 0u);
+
+  engine.run_until(engine.now() + seconds(600.0));
+  EXPECT_EQ(client->stats().retransmissions, retransmissions);
+  EXPECT_EQ(fabric.stats().packets_sent, sent);
+  client->send(make_message({}, 100));  // a closed connection drops
+  EXPECT_EQ(client->stats().messages_sent, 1u);
+}
+
+TEST_F(TcpTest, WithoutGiveUpDeliversAfterAnOutageLongerThanR2) {
+  // The default config never gives up: the workqueue and SmartPointer
+  // streams, which cannot replace a closed connection, resume once the
+  // peer's link heals, however long it was down.
+  std::uint64_t delivered = 0;
+  TcpListener listener{*nic_b, 80, TcpConfig{}, [&](TcpConnection::Ptr conn) {
+                         conn->set_message_handler(
+                             [&](const MessagePtr&) { ++delivered; });
+                       }};
+  auto client = TcpConnection::connect(*nic_a, b, 80);
+  engine.run();
+  ASSERT_TRUE(client->established());
+
+  fabric.set_link_down(ports[1].first, true);
+  client->send(make_message({}, 4096));
+  engine.run_until(engine.now() + seconds(150.0));
+  EXPECT_FALSE(client->closed());
+  EXPECT_EQ(delivered, 0u);
+  fabric.set_link_down(ports[1].first, false);
+  engine.run_until(engine.now() + seconds(5.0));
+  EXPECT_EQ(delivered, 1u);
+}
+
+TEST_F(TcpTest, AHandshakeThatGivesUpCloses) {
+  // Nothing answers the SYNs: after the eighth the connection closes and
+  // leaves the NIC's flow table, so an owner can tell it from a handshake
+  // still in progress.
+  fabric.set_link_down(ports[1].first, true);
+  TcpListener listener{*nic_b, 80, TcpConfig{}, [](TcpConnection::Ptr) {}};
+  auto client = TcpConnection::connect(*nic_a, b, 80);
+  engine.run_until(engine.now() + seconds(2.0));
+  EXPECT_FALSE(client->closed());
+  EXPECT_FALSE(flow_ids(*nic_a).empty());
+  engine.run_until(engine.now() + seconds(10.0));
+  EXPECT_TRUE(client->closed());
+  EXPECT_FALSE(client->established());
+  EXPECT_TRUE(flow_ids(*nic_a).empty());
+}
+
 TEST_F(TcpTest, RttMeasuredOnLan) {
   TcpListener listener{*nic_b, 80, TcpConfig{}, [](TcpConnection::Ptr) {}};
   auto client = TcpConnection::connect(*nic_a, b, 80);

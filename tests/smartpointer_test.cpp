@@ -138,6 +138,26 @@ TEST_F(SmartPointerTest, FramesFlowAtServerRate) {
   EXPECT_GT(client.frames_processed(), 45u);
 }
 
+TEST_F(SmartPointerTest, FramesFlowAgainAfterAClientOutageLongerThanR2) {
+  // Neither end can replace the stream's connection, so it never gives up:
+  // frames sent into a 150 s outage of the client (longer than TCP's R2)
+  // are retransmitted until it heals, and the stream resumes.
+  ServerConfig server_config;
+  server_config.frame_rate_hz = 5.0;
+  server_config.atom_count = 1'000;
+  auto server = make_server(server_config);
+  Client client{cluster->host(1), cluster->nic(1), 0, 9000, ClientConfig{}};
+  client.connect();
+  run_for(2.0);
+  const net::NodeId down = cluster->nic(1).node();
+  cluster->fabric().set_node_down(down, true);
+  run_for(150.0);
+  const std::uint64_t before_heal = client.frames_processed();
+  cluster->fabric().set_node_down(down, false);
+  run_for(30.0);
+  EXPECT_GT(client.frames_processed(), before_heal + 100);
+}
+
 TEST_F(SmartPointerTest, NoFilterSendsFullFrames) {
   ServerConfig server_config;
   server_config.atom_count = 10'000;

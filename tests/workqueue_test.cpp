@@ -52,6 +52,22 @@ TEST_F(WorkQueueTest, AllUnitsCompleteExactlyOnce) {
   EXPECT_EQ(worker_total, 30u);
 }
 
+TEST_F(WorkQueueTest, AllUnitsCompleteAfterAWorkerOutageLongerThanR2) {
+  // The master cannot replace a worker connection, so its connections never
+  // give up: units sent into a 150 s outage of worker 1 (longer than TCP's
+  // R2) are retransmitted until the worker heals, and then complete.
+  auto master = make_master(SchedulePolicy::kRoundRobin);
+  const net::NodeId down = cluster->nic(1).node();
+  cluster->fabric().set_node_down(down, true);
+  master->submit(30);
+  run_for(150.0);
+  EXPECT_LT(master->completed(), 30u);
+  cluster->fabric().set_node_down(down, false);
+  run_for(60.0);
+  EXPECT_EQ(master->completed(), 30u);
+  EXPECT_EQ(master->pending(), 0u);
+}
+
 TEST_F(WorkQueueTest, RoundRobinBalancesOnIdleCluster) {
   auto master = make_master(SchedulePolicy::kRoundRobin);
   master->submit(30);
