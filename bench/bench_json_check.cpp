@@ -6,6 +6,14 @@
 // entries carry a name plus positive ops_per_sec / ns_per_event and a
 // non-negative allocs_per_event. Exits non-zero on any parse or schema
 // error so a rotten harness fails the suite instead of rotting silently.
+//
+//   bench_json_check --against <committed.json> <fresh.json> --fields a,b,...
+//
+// also compares a fresh run with the committed file: every listed field of
+// every entry must be equal in the same-named entry of the other file, and
+// both files must hold the same entry names. Listed fields are the
+// deterministic ones (counts, bytes); wall-clock fields are left out. Exits
+// 1 on a difference, so a committed BENCH file cannot drift from the code.
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -181,7 +189,8 @@ class JsonParser {
   std::string error_;
 };
 
-bool check_file(const std::string& path) {
+/// Parses `path` and checks its schema; on success `root` holds the file.
+bool load_file(const std::string& path, JsonValue& root) {
   std::ifstream in{path};
   if (!in) {
     std::fprintf(stderr, "%s: cannot open\n", path.c_str());
@@ -190,7 +199,6 @@ bool check_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
 
-  JsonValue root;
   std::string error;
   if (!JsonParser{buffer.str()}.parse(root, error)) {
     std::fprintf(stderr, "%s: JSON parse error: %s\n", path.c_str(),
@@ -248,14 +256,106 @@ bool check_file(const std::string& path) {
   return true;
 }
 
+/// The entries of a loaded file by name.
+std::map<std::string, const JsonValue*> entries_by_name(const JsonValue& root) {
+  std::map<std::string, const JsonValue*> entries;
+  for (const JsonValue& entry : root.object.at("benchmarks").array) {
+    entries.emplace(entry.object.at("name").string, &entry);
+  }
+  return entries;
+}
+
+/// The value of `key` in `entry` as text, or "missing".
+std::string field_text(const JsonValue& entry, const std::string& key) {
+  const auto it = entry.object.find(key);
+  if (it == entry.object.end()) return "missing";
+  if (it->second.kind == JsonValue::Kind::kNumber) {
+    char text[32];
+    std::snprintf(text, sizeof text, "%.17g", it->second.number);
+    return text;
+  }
+  if (it->second.kind == JsonValue::Kind::kString) {
+    return '"' + it->second.string + '"';
+  }
+  return "non-scalar";
+}
+
+bool check_against(const std::string& committed_path,
+                   const std::string& fresh_path,
+                   const std::vector<std::string>& fields) {
+  JsonValue committed;
+  JsonValue fresh;
+  if (!load_file(committed_path, committed) || !load_file(fresh_path, fresh)) {
+    return false;
+  }
+  const auto old_entries = entries_by_name(committed);
+  const auto new_entries = entries_by_name(fresh);
+  bool ok = true;
+  for (const auto& [name, entry] : new_entries) {
+    if (old_entries.count(name) == 0) {
+      std::fprintf(stderr, "%s: entry %s is not in %s\n", fresh_path.c_str(),
+                   name.c_str(), committed_path.c_str());
+      ok = false;
+    }
+  }
+  for (const auto& [name, old_entry] : old_entries) {
+    const auto it = new_entries.find(name);
+    if (it == new_entries.end()) {
+      std::fprintf(stderr, "%s: entry %s is missing\n", fresh_path.c_str(),
+                   name.c_str());
+      ok = false;
+      continue;
+    }
+    for (const std::string& key : fields) {
+      const std::string was = field_text(*old_entry, key);
+      const std::string now = field_text(*it->second, key);
+      if (was != now || was == "missing") {
+        std::fprintf(stderr, "%s: %s.%s differs: committed %s, fresh %s\n",
+                     fresh_path.c_str(), name.c_str(), key.c_str(),
+                     was.c_str(), now.c_str());
+        ok = false;
+      }
+    }
+  }
+  if (ok) {
+    std::printf("%s: %zu fields of %zu entries match %s\n", fresh_path.c_str(),
+                fields.size(), old_entries.size(), committed_path.c_str());
+  }
+  return ok;
+}
+
+std::vector<std::string> split_fields(const std::string& list) {
+  std::vector<std::string> fields;
+  std::stringstream in{list};
+  std::string field;
+  while (std::getline(in, field, ',')) {
+    if (!field.empty()) fields.push_back(field);
+  }
+  return fields;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  const std::vector<std::string> args(argv + 1, argv + argc);
+  if (!args.empty() && args[0] == "--against") {
+    if (args.size() != 5 || args[3] != "--fields" ||
+        split_fields(args[4]).empty()) {
+      std::fprintf(stderr,
+                   "usage: bench_json_check --against <committed.json> "
+                   "<fresh.json> --fields <a,b,...>\n");
+      return 2;
+    }
+    return check_against(args[1], args[2], split_fields(args[4])) ? 0 : 1;
+  }
+  if (args.empty()) {
     std::fprintf(stderr, "usage: bench_json_check <BENCH_*.json>...\n");
     return 2;
   }
   bool ok = true;
-  for (int i = 1; i < argc; ++i) ok = check_file(argv[i]) && ok;
+  for (const std::string& path : args) {
+    JsonValue root;
+    ok = load_file(path, root) && ok;
+  }
   return ok ? 0 : 1;
 }

@@ -8,12 +8,13 @@
 // congestion. Cross traffic contends exactly where routes share links,
 // which is how the Figure 10 topology perturbs the server-client path.
 //
-// Packets in flight are not engine events. The fabric keeps them in one
-// pool, threaded per link as a FIFO, and a link that holds packets has
-// exactly one queued event: its head packet's exit, keyed by the exit time
-// and the seq reserved when the link admitted it. A link's exit times never
-// decrease and its seqs grow, so packets leave in the same global order as
-// if each had its own event.
+// Packets in flight are not engine events. A packet takes one entry of the
+// fabric's pool when it is sent and keeps it, relinked from one link's FIFO
+// to the next, until it is delivered or dropped. A link that holds packets
+// has exactly one queued event, a sink key: its head packet's exit, keyed
+// by the exit time and the seq reserved when the link admitted it. A
+// link's exit times never decrease and its seqs grow, so packets leave in
+// the same global order as if each had its own event.
 #pragma once
 
 #include <cstdint>
@@ -117,7 +118,7 @@ struct FabricStats {
 
 class Fabric {
  public:
-  explicit Fabric(sim::Engine& engine) : engine_(engine) {}
+  explicit Fabric(sim::Engine& engine);
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
 
@@ -188,15 +189,16 @@ class Fabric {
  private:
   static constexpr std::uint32_t kNoEntry = ~std::uint32_t{0};
 
-  /// A packet on a link, waiting for its exit. `route` is null on implicit
-  /// star routes; `next` threads the link's FIFO.
+  /// A packet from send to delivery or drop. `route` is null on implicit
+  /// star routes and loopback; `next` threads the FIFO of the link it is
+  /// on. The exit key comes first, in the entry's first cache line.
   struct InFlight {
-    Packet packet;
     SimTime exit;
     std::uint64_t seq = 0;  // reserved at admission, the exit event's key
     const std::vector<LinkId>* route = nullptr;
     std::uint32_t hop = 0;
     std::uint32_t next = kNoEntry;
+    Packet packet;
   };
   /// A link's FIFO of in-flight entries, oldest first.
   struct LinkQueue {
@@ -204,16 +206,21 @@ class Fabric {
     std::uint32_t tail = kNoEntry;
   };
 
-  /// Sends the packet over hop `hop` of its route, or delivers it past the
-  /// last hop. A null `route` is the implicit star: hop 0 = the sender's
-  /// uplink, hop 1 = the destination's downlink, hop 2 = delivery.
-  void forward(Packet&& packet, const std::vector<LinkId>* route,
-               std::uint32_t hop);
-  /// Schedules link `id`'s one exit event, for its new head `entry`.
+  /// Sends entry `entry` over its hop, or delivers it past the last hop. A
+  /// null route is the implicit star: hop 0 = the sender's uplink, hop 1 =
+  /// the destination's downlink, hop 2 = delivery.
+  void forward(std::uint32_t entry);
+  /// Schedules link `id`'s one exit event, for its new head `entry`, and
+  /// prefetches the first and last cache line of the entry behind it.
   void arm(LinkId id, std::uint32_t entry);
   /// The exit event of link `id`: its head packet leaves for the next hop.
   void on_exit(LinkId id);
-  void deliver(const Packet& packet);
+  /// Past the last hop: delivers the packet unless its node is down, then
+  /// frees its entry.
+  void arrive(std::uint32_t entry);
+  void drop(std::uint32_t entry, DropCause cause);
+  /// Frees an entry, dropping its message reference.
+  void release(std::uint32_t entry);
   void count_drop(DropCause cause);
 
   sim::Engine& engine_;
@@ -221,6 +228,8 @@ class Fabric {
   std::vector<std::unique_ptr<Link>> links_;
   std::vector<LinkQueue> queues_;  // indexed by LinkId
   Slab<InFlight> in_flight_;       // sized by the peak packets in flight
+  std::uint32_t exit_sink_;        // engine sink of link exits (arg: LinkId)
+  std::uint32_t arrive_sink_;      // engine sink of loopback (arg: entry)
   std::map<std::pair<NodeId, NodeId>, std::vector<LinkId>> routes_;
   /// Implicit star routing (build_star): per-node (uplink, downlink) port
   /// pairs, indexed by NodeId. Empty when no star was built.

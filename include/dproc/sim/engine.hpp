@@ -15,10 +15,16 @@
 // and only then is its callable destroyed. Re-arming a pending event to a
 // later time moves the key its slot records, not the queued one: that key
 // is pushed again at the recorded one when it reaches the top.
+//
+// A stream whose events all go to one handler (a link's packet exits)
+// skips the slab: the handler is registered once as a sink, and each key
+// names the sink and carries a 32-bit argument in place of a slot and a
+// generation. Such a key cannot be cancelled and builds nothing to fire.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <new>
@@ -88,20 +94,29 @@ class Engine {
     return push(when, next_seq_++, SimDuration::zero(), std::forward<F>(fn));
   }
 
-  /// Schedules `fn` at `when` with a tie-break number taken earlier from
-  /// reserve_seq(), so it fires exactly where an event scheduled at the
-  /// moment of reservation would have. Meant for streams whose keys only
-  /// grow: `when` must be >= now() and (when, seq) must come after the
-  /// event fired last, else the firing order would break.
-  template <typename F>
-  EventHandle schedule_at(SimTime when, std::uint64_t seq, F&& fn) {
+  /// Registers `fn` as a sink and returns its id, for schedule_to(). The
+  /// sink lives as long as the engine. Not to be called from a sink.
+  std::uint32_t add_sink(std::function<void(std::uint32_t)> fn) {
+    sinks_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(sinks_.size() - 1) | kSinkBit;
+  }
+
+  /// Queues a call of sink `sink` with `arg` at `when`, under a tie-break
+  /// number taken earlier from reserve_seq(), so it fires exactly where an
+  /// event scheduled at the moment of reservation would have. It fires and
+  /// counts like any event but cannot be cancelled. Meant for streams whose
+  /// keys only grow: `when` must be >= now() and (when, seq) must come
+  /// after the event fired last, else the firing order would break.
+  void schedule_to(SimTime when, std::uint64_t seq, std::uint32_t sink,
+                   std::uint32_t arg) {
     // when >= now_ >= fired_when_ns_, so only an equal time needs the seq.
     if (when < now_ || seq >= next_seq_ ||
-        (when.ns() == fired_when_ns_ && seq <= fired_seq_)) {
+        (when.ns() == fired_when_ns_ && seq <= fired_seq_) ||
+        (sink ^ kSinkBit) >= sinks_.size()) {
       throw std::invalid_argument{
-          "Engine::schedule_at: reserved key is not after the last event fired"};
+          "Engine::schedule_to: reserved key is not after the last event fired"};
     }
-    return push(when, seq, SimDuration::zero(), std::forward<F>(fn));
+    heap_push(Key{when.ns(), seq, sink, arg});
   }
 
   /// Schedules `fn` after `delay` (clamped to >= 0) from now.
@@ -123,7 +138,7 @@ class Engine {
   }
 
   /// Takes the tie-break number that scheduling would take now, for a later
-  /// schedule_at(when, seq, fn).
+  /// schedule_to().
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
 
   /// Runs events until the queue is empty or `deadline` is reached; the
@@ -153,9 +168,11 @@ class Engine {
   struct Key {
     std::int64_t when_ns;
     std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;  // the slot's generation when this key was pushed
+    std::uint32_t slot;  // a sink id (kSinkBit set) for schedule_to()
+    std::uint32_t gen;   // the slot's generation when pushed; a sink's arg
   };
+
+  static constexpr std::uint32_t kSinkBit = std::uint32_t{1} << 31;
 
   /// Type-erased operations on the callable stored in a slot.
   struct Ops {
@@ -226,9 +243,15 @@ class Engine {
     return true;
   }
 
-  static bool before(const Key& a, const Key& b) {
-    return a.when_ns != b.when_ns ? a.when_ns < b.when_ns : a.seq < b.seq;
+  // (when_ns, seq) compared as one unsigned 128-bit number, which the
+  // sifts turn into conditional moves rather than branches. Valid because
+  // when_ns is never negative: the clock starts at zero and no key is
+  // pushed before now().
+  __extension__ using Order = unsigned __int128;
+  static Order order(const Key& k) {
+    return Order{static_cast<std::uint64_t>(k.when_ns)} << 64 | k.seq;
   }
+  static bool before(const Key& a, const Key& b) { return order(a) < order(b); }
   void heap_push(const Key& key);
   Key heap_pop();
   /// True if a popped key is its event's live key. A cancelled event's key
@@ -236,6 +259,8 @@ class Engine {
   /// key. Neither fires or counts as processed.
   bool due(const Key& key);
   void fire(const Key& key);
+  /// Calls a sink key's sink; counts and records it as fire() does.
+  void fire_sink(const Key& key);
   /// Destroys the slot's callable, then frees the slot for reuse.
   void release(std::uint32_t index);
 
@@ -247,6 +272,7 @@ class Engine {
   std::uint64_t fired_seq_ = 0;
   std::vector<Key> heap_;  // 4-ary min-heap on (when_ns, seq)
   Slab<Slot> slots_;
+  std::vector<std::function<void(std::uint32_t)>> sinks_;
 };
 
 inline void EventHandle::cancel() {

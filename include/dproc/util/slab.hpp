@@ -33,7 +33,11 @@ class Slab {
       free_.pop_back();
       return i;
     }
-    if (size_ % kChunk == 0) chunks_.push_back(std::make_unique<T[]>(kChunk));
+    if (size_ % kChunk == 0) {
+      chunks_.push_back(std::make_unique<T[]>(kChunk));
+      // Room to release every element there is, so release never grows it.
+      free_.reserve(chunks_.size() * kChunk);
+    }
     return size_++;
   }
 

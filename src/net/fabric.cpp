@@ -55,6 +55,12 @@ std::uint64_t Link::backlog_bytes() const {
   return static_cast<std::uint64_t>(sec * config_.bandwidth_bps / 8.0);
 }
 
+Fabric::Fabric(sim::Engine& engine)
+    : engine_(engine),
+      exit_sink_(engine.add_sink([this](std::uint32_t id) { on_exit(id); })),
+      arrive_sink_(
+          engine.add_sink([this](std::uint32_t entry) { arrive(entry); })) {}
+
 NodeId Fabric::add_node(std::string name) {
   const auto id = static_cast<NodeId>(node_names_.size());
   node_names_.push_back(std::move(name));
@@ -136,77 +142,56 @@ void Fabric::send(Packet packet) {
     }
     return;
   }
-  if (packet.src == packet.dst) {
-    // Loopback: no link traversal, a small in-kernel delay, never dropped.
-    engine_.schedule_after(microseconds(1.0), [this, packet = std::move(packet)] {
-      if (trace_) {
-        trace_(TraceEvent::kDeliver, DropCause::kNone, packet, engine_.now());
-      }
-      ++stats_.packets_delivered;
-      delivered_bytes_.at(packet.dst) += packet.wire_bytes();
-      auto& handler = delivery_.at(packet.dst);
-      if (handler) handler(packet);
-    });
-    return;
-  }
-  auto it = routes_.find({packet.src, packet.dst});
-  if (it != routes_.end()) {
-    forward(std::move(packet), &it->second, 0);
-    return;
-  }
-  if (packet.src < star_ports_.size() && packet.dst < star_ports_.size() &&
-      star_ports_[packet.src].first != std::numeric_limits<LinkId>::max() &&
-      star_ports_[packet.dst].second != std::numeric_limits<LinkId>::max()) {
-    forward(std::move(packet), nullptr, 0);
-    return;
-  }
-  throw std::logic_error{"Fabric::send: no route " + node_name(packet.src) +
-                         " -> " + node_name(packet.dst)};
-}
-
-void Fabric::deliver(const Packet& packet) {
-  if (trace_) {
-    trace_(TraceEvent::kDeliver, DropCause::kNone, packet, engine_.now());
-  }
-  ++stats_.packets_delivered;
-  delivered_bytes_.at(packet.dst) += packet.wire_bytes();
-  auto& handler = delivery_.at(packet.dst);
-  if (handler) {
-    handler(packet);
-  } else {
-    DPROC_DEBUG() << "fabric: packet to " << node_name(packet.dst)
-                  << " with no NIC attached; discarded";
-  }
-}
-
-void Fabric::forward(Packet&& packet, const std::vector<LinkId>* route,
-                     std::uint32_t hop) {
-  const std::size_t hops = route != nullptr ? route->size() : 2;
-  if (hop == hops) {
-    if (node_down_.at(packet.dst)) {
-      count_drop(DropCause::kNodeDown);
-      if (trace_) {
-        trace_(TraceEvent::kDrop, DropCause::kNodeDown, packet, engine_.now());
-      }
-      return;  // vanished at the dead NIC
+  const std::vector<LinkId>* route = nullptr;
+  if (packet.src != packet.dst) {
+    auto it = routes_.find({packet.src, packet.dst});
+    if (it != routes_.end()) {
+      route = &it->second;
+    } else if (packet.src >= star_ports_.size() ||
+               packet.dst >= star_ports_.size() ||
+               star_ports_[packet.src].first ==
+                   std::numeric_limits<LinkId>::max() ||
+               star_ports_[packet.dst].second ==
+                   std::numeric_limits<LinkId>::max()) {
+      throw std::logic_error{"Fabric::send: no route " +
+                             node_name(packet.src) + " -> " +
+                             node_name(packet.dst)};
     }
-    deliver(packet);
+  }
+  const std::uint32_t entry = in_flight_.acquire();
+  InFlight& flight = in_flight_[entry];
+  flight.packet = std::move(packet);
+  flight.route = route;
+  flight.hop = 0;
+  if (flight.packet.src == flight.packet.dst) {
+    // Loopback: no link traversal, a small in-kernel delay, then the same
+    // last-hop check as a routed packet.
+    flight.exit = engine_.now() + microseconds(1.0);
+    flight.seq = engine_.reserve_seq();
+    engine_.schedule_to(flight.exit, flight.seq, arrive_sink_, entry);
     return;
   }
-  const LinkId id = route != nullptr ? (*route)[hop]
-                    : hop == 0       ? star_ports_[packet.src].first
-                                     : star_ports_[packet.dst].second;
-  SimTime exit;
-  const DropCause verdict = links_.at(id)->transmit(packet, exit);
+  forward(entry);
+}
+
+void Fabric::forward(std::uint32_t entry) {
+  InFlight& flight = in_flight_[entry];
+  const std::size_t hops = flight.route != nullptr ? flight.route->size() : 2;
+  if (flight.hop == hops) {
+    arrive(entry);
+    return;
+  }
+  const LinkId id = flight.route != nullptr ? (*flight.route)[flight.hop]
+                    : flight.hop == 0 ? star_ports_[flight.packet.src].first
+                                      : star_ports_[flight.packet.dst].second;
+  const DropCause verdict = links_.at(id)->transmit(flight.packet, flight.exit);
   if (verdict != DropCause::kNone) {
-    count_drop(verdict);
-    if (trace_) trace_(TraceEvent::kDrop, verdict, packet, engine_.now());
+    drop(entry, verdict);
     return;
   }
   // The seq the packet's own exit event would have taken here.
-  const std::uint64_t seq = engine_.reserve_seq();
-  const std::uint32_t entry = in_flight_.acquire();
-  in_flight_[entry] = InFlight{std::move(packet), exit, seq, route, hop, kNoEntry};
+  flight.seq = engine_.reserve_seq();
+  flight.next = kNoEntry;
   LinkQueue& queue = queues_[id];
   if (queue.head == kNoEntry) {
     queue.head = entry;
@@ -219,7 +204,12 @@ void Fabric::forward(Packet&& packet, const std::vector<LinkId>* route,
 
 void Fabric::arm(LinkId id, std::uint32_t entry) {
   const InFlight& head = in_flight_[entry];
-  engine_.schedule_at(head.exit, head.seq, [this, id] { on_exit(id); });
+  engine_.schedule_to(head.exit, head.seq, exit_sink_, id);
+  if (head.next != kNoEntry) {
+    const auto* behind = reinterpret_cast<const char*>(&in_flight_[head.next]);
+    __builtin_prefetch(behind);
+    __builtin_prefetch(behind + sizeof(InFlight) - 1);
+  }
 }
 
 void Fabric::on_exit(LinkId id) {
@@ -232,11 +222,42 @@ void Fabric::on_exit(LinkId id) {
   } else {
     arm(id, queue.head);
   }
-  Packet packet = std::move(done.packet);
-  const std::vector<LinkId>* route = done.route;
-  const std::uint32_t next_hop = done.hop + 1;
+  ++done.hop;
+  forward(entry);
+}
+
+void Fabric::arrive(std::uint32_t entry) {
+  const Packet& packet = in_flight_[entry].packet;
+  if (node_down_.at(packet.dst)) {
+    drop(entry, DropCause::kNodeDown);  // vanished at the dead NIC
+    return;
+  }
+  if (trace_) {
+    trace_(TraceEvent::kDeliver, DropCause::kNone, packet, engine_.now());
+  }
+  ++stats_.packets_delivered;
+  delivered_bytes_.at(packet.dst) += packet.wire_bytes();
+  auto& handler = delivery_.at(packet.dst);
+  if (handler) {
+    handler(packet);
+  } else {
+    DPROC_DEBUG() << "fabric: packet to " << node_name(packet.dst)
+                  << " with no NIC attached; discarded";
+  }
+  release(entry);
+}
+
+void Fabric::drop(std::uint32_t entry, DropCause cause) {
+  count_drop(cause);
+  if (trace_) {
+    trace_(TraceEvent::kDrop, cause, in_flight_[entry].packet, engine_.now());
+  }
+  release(entry);
+}
+
+void Fabric::release(std::uint32_t entry) {
+  in_flight_[entry].packet.message.reset();
   in_flight_.release(entry);
-  forward(std::move(packet), route, next_hop);
 }
 
 }  // namespace dproc::net

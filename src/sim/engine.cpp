@@ -96,12 +96,24 @@ void Engine::fire(const Key& key) {
   }
 }
 
+void Engine::fire_sink(const Key& key) {
+  ++processed_;
+  fired_when_ns_ = key.when_ns;
+  fired_seq_ = key.seq;
+  sinks_[key.slot ^ kSinkBit](key.gen);
+}
+
 bool Engine::step() {
   while (!heap_.empty()) {
     const Key key = heap_pop();
-    if (!due(key)) continue;
+    const bool sink = (key.slot & kSinkBit) != 0;
+    if (!sink && !due(key)) continue;
     now_ = SimTime{key.when_ns};
-    fire(key);
+    if (sink) {
+      fire_sink(key);
+    } else {
+      fire(key);
+    }
     return true;
   }
   return false;
@@ -111,7 +123,11 @@ void Engine::run_until(SimTime deadline) {
   while (!heap_.empty() && heap_.front().when_ns <= deadline.ns()) {
     const Key key = heap_pop();
     now_ = SimTime{key.when_ns};
-    if (due(key)) fire(key);
+    if ((key.slot & kSinkBit) != 0) {
+      fire_sink(key);
+    } else if (due(key)) {
+      fire(key);
+    }
   }
   if (now_ < deadline) now_ = deadline;
 }

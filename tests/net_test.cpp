@@ -349,6 +349,90 @@ TEST_F(FabricTest, LoopbackNeedsNoRoute) {
   EXPECT_TRUE(delivered);
 }
 
+TEST_F(FabricTest, LoopbackToANodeThatGoesDownIsDropped) {
+  // A loopback packet takes the last-hop check a routed one does: a node
+  // that goes down while its own packet is in flight does not receive it.
+  const NodeId a = fabric.add_node("a");
+  int delivered = 0;
+  fabric.set_delivery_handler(a, [&](const Packet&) { ++delivered; });
+  record_drops();
+  Packet p;
+  p.src = a;
+  p.dst = a;
+  p.seq = 7;
+  fabric.send(p);
+  engine.schedule_after(nanoseconds(500), [&] { fabric.set_node_down(a, true); });
+  engine.run();
+  EXPECT_EQ(delivered, 0);
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].seq, 7u);
+  expect_unique_drops(DropCause::kNodeDown);
+  EXPECT_EQ(fabric.stats().drops_node_down, 1u);
+  EXPECT_EQ(fabric.stats().packets_delivered, 0u);
+
+  fabric.set_node_down(a, false);
+  fabric.send(p);
+  engine.run();
+  EXPECT_EQ(delivered, 1);
+}
+
+TEST_F(FabricTest, PacketReleasesItsMessageOnDeliveryAndDrop) {
+  // However a packet ends, the fabric lets go of its message: only the
+  // test's own reference is left once the engine has run.
+  const NodeId a = fabric.add_node("a");
+  const NodeId b = fabric.add_node("b");
+  const NodeId c = fabric.add_node("c");
+  const LinkId uplink = fabric.build_star({a, b}, LinkConfig{})[0].first;
+  LinkConfig slow;
+  slow.bandwidth_bps = 10e6;
+  slow.buffer_bytes = 3000;
+  const LinkId first = fabric.add_link(LinkConfig{});
+  const LinkId middle = fabric.add_link(slow);
+  const LinkId last = fabric.add_link(LinkConfig{});
+  fabric.set_route(a, c, {first, middle, last});
+  int delivered = 0;
+  for (const NodeId node : {a, b, c}) {
+    fabric.set_delivery_handler(node, [&](const Packet&) { ++delivered; });
+  }
+  record_drops();
+  const MessagePtr message = make_message({1, 2, 3});
+  auto send = [&](NodeId src, NodeId dst) {
+    Packet p;
+    p.src = src;
+    p.dst = dst;
+    p.payload_bytes = 1442;
+    p.message = message;
+    fabric.send(p);
+  };
+
+  send(a, b);  // delivered over the star
+  EXPECT_EQ(message.use_count(), 2);  // the packet's pool entry holds one
+  engine.run();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(message.use_count(), 1);
+
+  fabric.set_link_down(uplink, true);
+  send(a, b);  // dropped at hop 0
+  engine.run();
+  fabric.set_link_down(uplink, false);
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].cause, DropCause::kLinkDown);
+  EXPECT_EQ(message.use_count(), 1);
+
+  // The first link forwards ten times faster than the middle one drains,
+  // so the middle hop's small buffer takes two of the four and drops two.
+  for (int i = 0; i < 4; ++i) send(a, c);
+  engine.run();
+  EXPECT_EQ(fabric.link(middle).stats().packets_dropped, 2u);
+  EXPECT_EQ(fabric.link(last).stats().packets_sent, 2u);
+  EXPECT_EQ(message.use_count(), 1);
+
+  send(b, b);  // loopback
+  engine.run();
+  EXPECT_EQ(delivered, 4);
+  EXPECT_EQ(message.use_count(), 1);
+}
+
 TEST_F(FabricTest, MissingRouteThrows) {
   const NodeId a = fabric.add_node("a");
   const NodeId b = fabric.add_node("b");

@@ -4,7 +4,8 @@
 // allocates nothing, a Vm is re-entrant (same program, same input, same
 // result on every call), and once the engine's slab and the fabric's
 // in-flight pool have grown, scheduling, cancelling and forwarding packets
-// allocate nothing, and neither does a warm TCP stream, segment or ACK. The alloc counter comes from bench/alloc_counter.cpp,
+// (routed or loopback) allocate nothing, and neither does a warm TCP
+// stream, segment or ACK. The alloc counter comes from bench/alloc_counter.cpp,
 // whose global operator new/delete override counts every heap allocation
 // in the test binary.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "dproc/net/nic.hpp"
 #include "dproc/net/tcp.hpp"
 #include "dproc/sim/engine.hpp"
+#include "dproc/util/slab.hpp"
 
 namespace {
 
@@ -220,6 +222,23 @@ TEST(PerfRegressionTest, RetainedHandleAndCancelAllocateNothing) {
   EXPECT_EQ(engine.cancel_flags_allocated(), 0u);
 }
 
+TEST(Slab, ReleaseAllocatesNothingOnceGrown) {
+  dproc::Slab<int> slab;
+  std::vector<std::uint32_t> live;
+  for (int i = 0; i < 256; ++i) live.push_back(slab.acquire());
+
+  std::uint64_t before = dproc::bench::alloc_count();
+  for (const std::uint32_t i : live) slab.release(i);
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
+      << "releasing elements the slab already holds must not allocate";
+
+  before = dproc::bench::alloc_count();
+  for (std::uint32_t& i : live) i = slab.acquire();
+  for (const std::uint32_t i : live) slab.release(i);
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u);
+  EXPECT_EQ(slab.size(), 256u);
+}
+
 TEST(PerfRegressionTest, WarmPacketBurstThroughStarAllocatesNothing) {
   dproc::sim::Engine engine;
   dproc::net::Fabric fabric{engine};
@@ -228,18 +247,33 @@ TEST(PerfRegressionTest, WarmPacketBurstThroughStarAllocatesNothing) {
     nodes.push_back(fabric.add_node("n" + std::to_string(i)));
   }
   fabric.build_star(nodes, dproc::net::LinkConfig{});
+  // Node 0 reaches node 2 over an explicit three-hop route instead.
+  std::vector<dproc::net::LinkId> route;
+  for (int i = 0; i < 3; ++i) {
+    route.push_back(fabric.add_link(dproc::net::LinkConfig{}));
+  }
+  fabric.set_route(nodes[0], nodes[2], route);
   std::uint64_t delivered = 0;
   for (dproc::net::NodeId node : nodes) {
     fabric.set_delivery_handler(
         node, [&](const dproc::net::Packet&) { ++delivered; });
   }
   // 1000 packets, each over two hops (sender uplink, receiver downlink),
-  // from every node to every other node in turn.
+  // from every node to every other node in turn, then 300 over the
+  // explicit route.
   auto burst = [&] {
     for (int i = 0; i < 1000; ++i) {
       dproc::net::Packet p;
       p.src = nodes[i % 4];
       p.dst = nodes[(i + 1 + i / 4 % 3) % 4];
+      if (p.src == nodes[0] && p.dst == nodes[2]) p.dst = nodes[1];
+      p.payload_bytes = 200;
+      fabric.send(p);
+    }
+    for (int i = 0; i < 300; ++i) {
+      dproc::net::Packet p;
+      p.src = nodes[0];
+      p.dst = nodes[2];
       p.payload_bytes = 200;
       fabric.send(p);
     }
@@ -252,8 +286,35 @@ TEST(PerfRegressionTest, WarmPacketBurstThroughStarAllocatesNothing) {
   burst();
   EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
       << "a warm burst must not touch the heap in Fabric::send or Engine::run";
-  EXPECT_EQ(first, 1000u);
-  EXPECT_EQ(delivered, 2000u);
+  EXPECT_EQ(first, 1300u);
+  EXPECT_EQ(delivered, 2600u);
+  EXPECT_EQ(fabric.link(route[2]).stats().packets_sent, 600u);
+}
+
+TEST(PerfRegressionTest, WarmLoopbackBurstAllocatesNothing) {
+  dproc::sim::Engine engine;
+  dproc::net::Fabric fabric{engine};
+  const dproc::net::NodeId a = fabric.add_node("a");
+  std::uint64_t delivered = 0;
+  fabric.set_delivery_handler(a,
+                              [&](const dproc::net::Packet&) { ++delivered; });
+  auto burst = [&] {
+    for (int i = 0; i < 500; ++i) {
+      dproc::net::Packet p;
+      p.src = a;
+      p.dst = a;
+      p.payload_bytes = 200;
+      fabric.send(p);
+    }
+    engine.run();
+  };
+  burst();  // warm-up: grows the in-flight pool and the key heap
+
+  const std::uint64_t before = dproc::bench::alloc_count();
+  burst();
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
+      << "a warm loopback burst must not touch the heap";
+  EXPECT_EQ(delivered, 1000u);
 }
 
 TEST(PerfRegressionTest, WarmTcpStreamAllocatesNothingPerSegment) {

@@ -249,7 +249,8 @@ std::vector<int> fire_eagerly(const std::vector<std::vector<Action>>& plan) {
 }
 
 /// Stream events wait in per-stream FIFOs with a reserved seq; only each
-/// stream's head is queued, and it re-arms the next head when it fires.
+/// stream's head is queued, as a sink key whose argument is the stream, and
+/// it queues the next head when it fires.
 std::vector<int> fire_through_reserved_seqs(
     const std::vector<std::vector<Action>>& plan) {
   struct Waiting {
@@ -260,15 +261,16 @@ std::vector<int> fire_through_reserved_seqs(
   Engine engine;
   std::vector<int> fired;
   std::vector<std::deque<Waiting>> streams(kStreams);
-  std::function<void(int)> fire_head = [&](int stream) {
+  std::uint32_t sink = 0;
+  sink = engine.add_sink([&](std::uint32_t stream) {
     std::deque<Waiting>& queue = streams[stream];
     fired.push_back(queue.front().label);
     queue.pop_front();
     if (!queue.empty()) {
-      engine.schedule_at(SimTime{queue.front().when}, queue.front().seq,
-                         [&fire_head, stream] { fire_head(stream); });
+      engine.schedule_to(SimTime{queue.front().when}, queue.front().seq, sink,
+                         stream);
     }
-  };
+  });
   for (std::size_t tick = 0; tick < plan.size(); ++tick) {
     engine.schedule_at(
         SimTime{static_cast<std::int64_t>(tick) * kTickNs}, [&, tick] {
@@ -280,13 +282,12 @@ std::vector<int> fire_through_reserved_seqs(
                                  [&fired, label] { fired.push_back(label); });
               continue;
             }
-            std::deque<Waiting>& queue = streams[action.stream];
+            const auto stream = static_cast<std::uint32_t>(action.stream);
+            std::deque<Waiting>& queue = streams[stream];
             queue.push_back({action.when, engine.reserve_seq(), label});
             if (queue.size() == 1) {
-              engine.schedule_at(SimTime{action.when}, queue.front().seq,
-                                 [&fire_head, stream = action.stream] {
-                                   fire_head(stream);
-                                 });
+              engine.schedule_to(SimTime{action.when}, queue.front().seq, sink,
+                                 stream);
             }
           }
         });
@@ -306,27 +307,59 @@ TEST(Engine, ReservedSeqStreamsFireInEagerOrder) {
 
 TEST(Engine, ReservedKeyNotAfterTheLastFiredEventThrows) {
   Engine engine;
+  std::vector<std::uint32_t> args;
+  const std::uint32_t sink =
+      engine.add_sink([&](std::uint32_t arg) { args.push_back(arg); });
   const std::uint64_t early = engine.reserve_seq();
   bool checked = false;
   engine.schedule_at(SimTime{10}, [&] {
     // The firing event's own time with an older seq: it would fire before
     // an event that has already fired.
-    EXPECT_THROW(engine.schedule_at(SimTime{10}, early, [] {}),
+    EXPECT_THROW(engine.schedule_to(SimTime{10}, early, sink, 1),
                  std::invalid_argument);
     // A seq that reserve_seq() never handed out.
-    EXPECT_THROW(engine.schedule_at(SimTime{20}, std::uint64_t{1000}, [] {}),
+    EXPECT_THROW(engine.schedule_to(SimTime{20}, std::uint64_t{1000}, sink, 2),
                  std::invalid_argument);
-    EXPECT_NO_THROW(engine.schedule_at(SimTime{10}, engine.reserve_seq(), [] {}));
-    EXPECT_NO_THROW(engine.schedule_at(SimTime{11}, early, [] {}));
+    // Sink ids that add_sink() never returned.
+    EXPECT_THROW(engine.schedule_to(SimTime{20}, early, sink + 1, 3),
+                 std::invalid_argument);
+    EXPECT_THROW(engine.schedule_to(SimTime{20}, early, 0, 4),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(engine.schedule_to(SimTime{10}, engine.reserve_seq(), sink, 5));
+    EXPECT_NO_THROW(engine.schedule_to(SimTime{11}, early, sink, 6));
     checked = true;
   });
   engine.run();
   EXPECT_TRUE(checked);
+  EXPECT_EQ(args, (std::vector<std::uint32_t>{5, 6}));
   EXPECT_EQ(engine.events_processed(), 3u);
   // Past the last event, the clock still bounds a reserved key.
   engine.run_until(SimTime{100});
-  EXPECT_THROW(engine.schedule_at(SimTime{50}, engine.reserve_seq(), [] {}),
+  EXPECT_THROW(engine.schedule_to(SimTime{50}, engine.reserve_seq(), sink, 7),
                std::invalid_argument);
+}
+
+TEST(Engine, SinkEventSetsTheClockCountsAndBecomesTheLastFired) {
+  Engine engine;
+  const std::uint64_t older = engine.reserve_seq();
+  std::vector<std::int64_t> fired_at;
+  std::uint32_t sink = 0;
+  sink = engine.add_sink([&](std::uint32_t arg) {
+    fired_at.push_back(engine.now().ns());
+    if (arg == 1) {
+      // This key, (5, its seq), is now the last fired: an older seq at the
+      // same time would fire out of order.
+      EXPECT_THROW(engine.schedule_to(SimTime{5}, older, sink, 2),
+                   std::invalid_argument);
+    }
+  });
+  engine.schedule_to(SimTime{5}, engine.reserve_seq(), sink, 1);
+  EXPECT_EQ(engine.pending_events(), 1u);
+  EXPECT_TRUE(engine.step());
+  EXPECT_FALSE(engine.step());
+  EXPECT_EQ(fired_at, (std::vector<std::int64_t>{5}));
+  EXPECT_EQ(engine.now(), SimTime{5});
+  EXPECT_EQ(engine.events_processed(), 1u);
 }
 
 // --- re-arm ---------------------------------------------------------------
