@@ -180,11 +180,13 @@ class DMon {
   DMon& operator=(const DMon&) = delete;
 
   /// Registers a monitoring module (before or after start()); assigns
-  /// cluster-convention metric ids and creates the local pseudo-files.
+  /// cluster-convention metric ids, creates the local pseudo-files and adds
+  /// the metrics' files to every peer's /proc/cluster/<name>/ directory.
   void register_module(std::unique_ptr<MonitoringModule> module);
 
-  /// Declares a peer node: creates /proc/cluster/<name>/... including the
-  /// control file through which applications retune that node.
+  /// Declares a peer node: binds /proc/cluster/<name>/ to the peer shape
+  /// (metric files, status, and the control file through which
+  /// applications retune that node), keyed by the peer's node id.
   void add_peer(net::NodeId node, const std::string& name);
 
   /// Joins the channels and starts the periodic polling loop.
@@ -428,10 +430,8 @@ class DMon {
   /// How long a silent feed stays live: stale_after_periods poll periods.
   [[nodiscard]] SimDuration stale_horizon() const;
   [[nodiscard]] PeerState state_of(const Peer& peer) const;
-  void register_local_files(const ModuleEntry& entry);
-  /// /proc/cluster/<name>/<metric path> for one declared peer.
-  void register_peer_file(net::NodeId node, const std::string& name,
-                          const MetricDesc& desc);
+  /// /proc/<metric path> for this node and <metric path> in the peer shape.
+  void register_metric_files(const ModuleEntry& entry);
   void rebuild_tuning();
   void charge(double cycles);
   /// Tail of every poll(): accumulates this poll's kernel cost into the
@@ -458,6 +458,9 @@ class DMon {
 
   std::unique_ptr<PublisherTuning> tuning_;
   std::map<net::NodeId, Peer> peers_;
+  /// The contents of every /proc/cluster/<peer>/ directory: one file per
+  /// metric plus status and control, each handler keyed by the node id.
+  procfs::ProcFs::Shape peer_shape_;
 
   /// Bridge from the first TopKMonitor's sketch to the filter VM
   /// (ClusterConfig::sketch; additional TopKMonitors register as

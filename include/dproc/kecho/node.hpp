@@ -371,9 +371,9 @@ class Node {
 
   void start_heartbeat_timer();
   /// Periodic liveness pass: evicts peers silent past the miss threshold,
-  /// then heartbeats every peer nothing was sent to this period.
+  /// then heartbeats every peer nothing was sent to this period, all with
+  /// one frame encoded for the tick.
   void liveness_tick();
-  void send_heartbeat(net::NodeId peer);
   /// Records a newly learned peer; returns true the first time a node-level
   /// peer appears (used to fire kJoined exactly once per node).
   bool member_learned(Member member);

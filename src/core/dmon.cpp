@@ -128,6 +128,35 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
       tm_submit_us_(host.telemetry().latency("dmon", "submit_us")),
       tm_receive_us_(host.telemetry().latency("dmon", "receive_us")) {
   procfs_.mkdir("/proc/cluster");
+  // /proc/cluster/<peer>/ of every declared peer is this one shape, bound
+  // by add_peer and keyed by the peer's node id; register_module adds the
+  // metric files.
+  (void)peer_shape_.add_file("status", [this](procfs::ProcFs::Key key) {
+    auto peer_it = peers_.find(static_cast<net::NodeId>(key));
+    if (peer_it == peers_.end()) return std::string{"state dead\n"};
+    const Peer& p = peer_it->second;
+    std::ostringstream out;
+    out << "state " << to_string(state_of(p)) << "\n"
+        << "has_data " << (p.has_data ? 1 : 0) << "\n"
+        << "last_update_s " << p.last_update.sec() << "\n"
+        << "age_s " << (host_.engine().now() - p.last_update).sec() << "\n";
+    return out.str();
+  });
+  (void)peer_shape_.add_file(
+      "control",
+      [this](procfs::ProcFs::Key key) {
+        auto peer_it = peers_.find(static_cast<net::NodeId>(key));
+        const std::string name = peer_it != peers_.end()
+                                     ? peer_it->second.name
+                                     : std::to_string(key);
+        return "# write control commands for node " + name +
+               ": period/threshold/differential/fuel/filter/clear\n";
+      },
+      [this](procfs::ProcFs::Key key, const std::string& text) {
+        auto config = parse_control_commands(text);
+        if (!config) return config.status();
+        return send_tuning(static_cast<net::NodeId>(key), config.value());
+      });
   procfs_.register_file("/proc/dproc/telemetry",
                         [this] { return host_.telemetry().render(); });
   procfs_.register_file("/proc/dproc/trace", [this] {
@@ -303,7 +332,7 @@ void DMon::register_module(std::unique_ptr<MonitoringModule> module) {
     metric_ids_[desc.key] = desc.id;
     metric_table_.push_back(desc);
   }
-  register_local_files(entry);
+  register_metric_files(entry);
   // NET_MON additionally serves the per-connection table.
   if (auto* net_monitor = dynamic_cast<NetMonitor*>(entry.module.get())) {
     procfs_.register_file("/proc/net/connections", [net_monitor] {
@@ -327,34 +356,21 @@ void DMon::register_module(std::unique_ptr<MonitoringModule> module) {
   last_collected_.resize(metric_table_.size());
   last_published_.resize(metric_table_.size());
   rebuild_tuning();
-
-  // Peers declared before this module gained metrics: create their files.
-  for (auto& [node, peer] : peers_) {
-    peer.metrics.resize(metric_table_.size());
-    for (std::size_t i = added.first_id; i < metric_table_.size(); ++i) {
-      register_peer_file(node, peer.name, metric_table_[i]);
-    }
-  }
 }
 
-void DMon::register_peer_file(net::NodeId node, const std::string& name,
-                              const MetricDesc& desc) {
-  const MetricId id = desc.id;
-  procfs_.register_file(
-      "/proc/cluster/" + name + "/" + desc.path, [this, node, id] {
-        auto it = peers_.find(node);
-        if (it == peers_.end() || id >= it->second.metrics.size()) {
-          return std::string{"no data\n"};
-        }
-        return render_value(it->second.metrics[id], host_.engine().now(),
-                            state_of(it->second));
-      });
-}
-
-void DMon::register_local_files(const ModuleEntry& entry) {
+void DMon::register_metric_files(const ModuleEntry& entry) {
   for (std::size_t i = 0; i < entry.metric_count; ++i) {
     const MetricDesc& desc = metric_table_[entry.first_id + i];
     const MetricId id = desc.id;
+    // Every declared peer's directory, now and later, sees this file.
+    (void)peer_shape_.add_file(desc.path, [this, id](procfs::ProcFs::Key key) {
+      auto it = peers_.find(static_cast<net::NodeId>(key));
+      if (it == peers_.end() || id >= it->second.metrics.size()) {
+        return std::string{"no data\n"};
+      }
+      return render_value(it->second.metrics[id], host_.engine().now(),
+                          state_of(it->second));
+    });
     procfs_.register_file("/proc/" + desc.path, [this, id] {
       if (id >= last_collected_.size()) return std::string{"no data\n"};
       std::ostringstream out;
@@ -370,31 +386,7 @@ void DMon::add_peer(net::NodeId node, const std::string& name) {
   peer.name = name;
   peer.metrics.resize(metric_table_.size());
   if (created) peer.declared_at = host_.engine().now();
-  for (const MetricDesc& desc : metric_table_) {
-    register_peer_file(node, name, desc);
-  }
-  procfs_.register_file("/proc/cluster/" + name + "/status", [this, node] {
-    auto peer_it = peers_.find(node);
-    if (peer_it == peers_.end()) return std::string{"state dead\n"};
-    const Peer& p = peer_it->second;
-    std::ostringstream out;
-    out << "state " << to_string(state_of(p)) << "\n"
-        << "has_data " << (p.has_data ? 1 : 0) << "\n"
-        << "last_update_s " << p.last_update.sec() << "\n"
-        << "age_s " << (host_.engine().now() - p.last_update).sec() << "\n";
-    return out.str();
-  });
-  procfs_.register_file(
-      "/proc/cluster/" + name + "/control",
-      [name] {
-        return "# write control commands for node " + name +
-               ": period/threshold/differential/fuel/filter/clear\n";
-      },
-      [this, node](const std::string& text) {
-        auto config = parse_control_commands(text);
-        if (!config) return config.status();
-        return send_tuning(node, config.value());
-      });
+  (void)procfs_.bind("/proc/cluster/" + name, &peer_shape_, node);
 }
 
 void DMon::start() {
@@ -743,6 +735,10 @@ DMon::Peer& DMon::touch_peer(net::NodeId origin) {
 void DMon::apply_batch_to_peer(Peer& peer, const net::MonitorBatch& batch,
                                std::uint64_t trace_id) {
   const SimTime now = host_.engine().now();
+  // A module registered after the peer was declared widens the table.
+  if (peer.metrics.size() < metric_table_.size()) {
+    peer.metrics.resize(metric_table_.size());
+  }
   for (const net::MonitorBatch::Entry& e : batch.entries) {
     if (e.id < peer.metrics.size()) {
       peer.metrics[e.id] =

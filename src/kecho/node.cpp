@@ -330,19 +330,20 @@ void Node::liveness_tick() {
     if (now - state.last_heard > dead_after) dead.push_back(peer);
   }
   for (net::NodeId peer : dead) evict_peer(peer);
+  // Every heartbeat of a tick is the same frame (channel 0, this node, now,
+  // empty payload): encode it once, on the first peer that is due, and
+  // share it the way Channel::fan_out shares a data frame.
+  net::MessagePtr frame;
   for (auto& [peer, state] : peer_liveness_) {
-    if (now - state.last_sent >= liveness_.heartbeat_period) {
-      send_heartbeat(peer);
-      state.last_sent = now;
+    if (now - state.last_sent < liveness_.heartbeat_period) continue;
+    if (frame == nullptr) {
+      frame = encode_event(kHeartbeatChannel, nic_.node(), now,
+                           heartbeat_payload_);
     }
+    transport_to(peer)->send(frame);
+    tm_heartbeats_.add();
+    state.last_sent = now;
   }
-}
-
-void Node::send_heartbeat(net::NodeId peer) {
-  const net::MessagePtr frame = encode_event(
-      kHeartbeatChannel, nic_.node(), host_.engine().now(), heartbeat_payload_);
-  transport_to(peer)->send(frame);
-  tm_heartbeats_.add();
 }
 
 bool Node::member_learned(Member member) {

@@ -28,26 +28,41 @@ Result<std::vector<std::string>> ProcFs::split_path(const std::string& path) {
   return components;
 }
 
-const ProcFs::Node* ProcFs::find(const std::string& path) const {
+const ProcFs::Node& ProcFs::contents(const Node& node) {
+  return node.shape != nullptr ? node.shape->root_ : node;
+}
+
+Status ProcFs::inside_bound(const std::string& path) {
+  return {StatusCode::kPermissionDenied,
+          "'" + path + "' is inside a bound directory"};
+}
+
+ProcFs::Found ProcFs::find(const std::string& path) const {
   auto components = split_path(path);
-  if (!components) return nullptr;
-  const Node* node = root_.get();
+  if (!components) return {};
+  Found found{root_.get(), 0};
   for (const std::string& component : components.value()) {
-    auto it = node->children.find(component);
-    if (it == node->children.end()) return nullptr;
-    node = it->second.get();
+    if (found.node->shape != nullptr) found.key = found.node->key;
+    const Node& dir = contents(*found.node);
+    auto it = dir.children.find(component);
+    if (it == dir.children.end()) return {};
+    found.node = it->second.get();
   }
-  return node;
+  return found;
 }
 
 ProcFs::Node* ProcFs::ensure_directories(
-    const std::vector<std::string>& components, std::size_t count,
-    Status& status) {
-  Node* node = root_.get();
+    Node& root, const std::vector<std::string>& components, std::size_t count,
+    const std::string& path, Status& status) {
+  Node* node = &root;
   for (std::size_t i = 0; i < count; ++i) {
     if (!node->directory) {
       status = Status::invalid_argument("'" + components[i - 1] +
                                         "' is a file, not a directory");
+      return nullptr;
+    }
+    if (node->shape != nullptr) {
+      status = inside_bound(path);
       return nullptr;
     }
     auto [it, created] = node->children.try_emplace(components[i]);
@@ -61,8 +76,8 @@ ProcFs::Node* ProcFs::ensure_directories(
   return node;
 }
 
-Status ProcFs::register_file(const std::string& path, ReadHandler read,
-                             WriteHandler write) {
+Status ProcFs::put_file(Node& root, const std::string& path, KeyedRead read,
+                        KeyedWrite write) {
   auto components = split_path(path);
   if (!components) return components.status();
   const auto& parts = components.value();
@@ -70,8 +85,9 @@ Status ProcFs::register_file(const std::string& path, ReadHandler read,
     return Status::invalid_argument("cannot register the root as a file");
   }
   Status status;
-  Node* dir = ensure_directories(parts, parts.size() - 1, status);
+  Node* dir = ensure_directories(root, parts, parts.size() - 1, path, status);
   if (dir == nullptr) return status;
+  if (dir->shape != nullptr) return inside_bound(path);
 
   auto [it, created] = dir->children.try_emplace(parts.back());
   if (!created && it->second->directory) {
@@ -85,14 +101,59 @@ Status ProcFs::register_file(const std::string& path, ReadHandler read,
   return Status::ok();
 }
 
+Status ProcFs::Shape::add_file(const std::string& relative_path,
+                               KeyedRead read, KeyedWrite write) {
+  return put_file(root_, "/" + relative_path, std::move(read),
+                  std::move(write));
+}
+
+Status ProcFs::register_file(const std::string& path, ReadHandler read,
+                             WriteHandler write) {
+  KeyedRead keyed_read;
+  if (read) keyed_read = [read = std::move(read)](Key) { return read(); };
+  KeyedWrite keyed_write;
+  if (write) {
+    keyed_write = [write = std::move(write)](Key, const std::string& data) {
+      return write(data);
+    };
+  }
+  return put_file(*root_, path, std::move(keyed_read), std::move(keyed_write));
+}
+
 Status ProcFs::mkdir(const std::string& path) {
   auto components = split_path(path);
   if (!components) return components.status();
   Status status;
-  if (ensure_directories(components.value(), components.value().size(),
-                         status) == nullptr) {
+  if (ensure_directories(*root_, components.value(), components.value().size(),
+                         path, status) == nullptr) {
     return status;
   }
+  return Status::ok();
+}
+
+Status ProcFs::bind(const std::string& path, const Shape* shape, Key key) {
+  if (shape == nullptr) return Status::invalid_argument("bind needs a shape");
+  auto components = split_path(path);
+  if (!components) return components.status();
+  const auto& parts = components.value();
+  if (parts.empty()) return Status::invalid_argument("cannot bind the root");
+  Status status;
+  Node* parent =
+      ensure_directories(*root_, parts, parts.size() - 1, path, status);
+  if (parent == nullptr) return status;
+  if (parent->shape != nullptr) return inside_bound(path);
+
+  auto [it, created] = parent->children.try_emplace(parts.back());
+  if (created) it->second = std::make_unique<Node>();
+  Node& dir = *it->second;
+  if (!dir.directory) {
+    return Status::already_exists("'" + path + "' exists as a file");
+  }
+  if (!dir.children.empty()) {
+    return Status::already_exists("'" + path + "' is a directory with entries");
+  }
+  dir.shape = shape;
+  dir.key = key;
   return Status::ok();
 }
 
@@ -101,32 +162,33 @@ Status ProcFs::remove(const std::string& path) {
   if (!components) return components.status();
   const auto& parts = components.value();
   if (parts.empty()) return Status::invalid_argument("cannot remove the root");
-  Node* node = root_.get();
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    auto it = node->children.find(parts[i]);
-    if (it == node->children.end()) {
-      return Status::not_found("'" + path + "' does not exist");
-    }
-    node = it->second.get();
-  }
-  if (node->children.erase(parts.back()) == 0) {
+  if (find(path).node == nullptr) {
     return Status::not_found("'" + path + "' does not exist");
   }
+  Node* node = root_.get();
+  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
+    if (node->shape != nullptr) return inside_bound(path);
+    node = node->children.find(parts[i])->second.get();
+  }
+  if (node->shape != nullptr) return inside_bound(path);
+  node->children.erase(parts.back());
   return Status::ok();
 }
 
 Result<std::string> ProcFs::read(const std::string& path) const {
-  const Node* node = find(path);
+  const Found found = find(path);
+  const Node* node = found.node;
   if (node == nullptr) return Status::not_found("'" + path + "' does not exist");
   if (node->directory) {
     return Status::invalid_argument("'" + path + "' is a directory");
   }
   if (!node->read) return std::string{};
-  return node->read();
+  return node->read(found.key);
 }
 
 Status ProcFs::write(const std::string& path, const std::string& data) {
-  const Node* node = find(path);
+  const Found found = find(path);
+  const Node* node = found.node;
   if (node == nullptr) return Status::not_found("'" + path + "' does not exist");
   if (node->directory) {
     return Status::invalid_argument("'" + path + "' is a directory");
@@ -134,29 +196,30 @@ Status ProcFs::write(const std::string& path, const std::string& data) {
   if (!node->write) {
     return Status{StatusCode::kPermissionDenied, "'" + path + "' is read-only"};
   }
-  return node->write(data);
+  return node->write(found.key, data);
 }
 
 Result<std::vector<std::string>> ProcFs::list(const std::string& path) const {
-  const Node* node = find(path);
+  const Node* node = find(path).node;
   if (node == nullptr) return Status::not_found("'" + path + "' does not exist");
   if (!node->directory) {
     return Status::invalid_argument("'" + path + "' is not a directory");
   }
+  const Node& dir = contents(*node);
   std::vector<std::string> entries;
-  entries.reserve(node->children.size());
-  for (const auto& [name, child] : node->children) {
+  entries.reserve(dir.children.size());
+  for (const auto& [name, child] : dir.children) {
     entries.push_back(child->directory ? name + "/" : name);
   }
   return entries;
 }
 
 bool ProcFs::exists(const std::string& path) const {
-  return find(path) != nullptr;
+  return find(path).node != nullptr;
 }
 
 bool ProcFs::is_directory(const std::string& path) const {
-  const Node* node = find(path);
+  const Node* node = find(path).node;
   return node != nullptr && node->directory;
 }
 
@@ -168,7 +231,7 @@ void ProcFs::render(const Node& node, const std::string& name, int depth,
     if (node.directory) out += '/';
     out += '\n';
   }
-  for (const auto& [child_name, child] : node.children) {
+  for (const auto& [child_name, child] : contents(node).children) {
     render(*child, child_name, depth + 1, out);
   }
 }

@@ -2,6 +2,10 @@
 // remote-store updates, control propagation, and overhead accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "dproc/core/cluster.hpp"
 #include "dproc/net/wire.hpp"
 #include "dproc/workload/linpack.hpp"
@@ -279,6 +283,59 @@ TEST_F(DmonTest, TruncatedPerModuleFrameLeavesStoredValueIntact) {
   ASSERT_NE(metric, nullptr);
   EXPECT_GT(metric->value, 1e8);  // ~512 MB free, not a torn zero
   EXPECT_GT(metric->sampled_at.ns(), 0);
+}
+
+TEST_F(DmonTest, ModuleRegisteredAfterPeersAppearsUnderEveryPeer) {
+  // The peers were declared when the cluster was built. The module joins
+  // every node, so its metric id is the same cluster-wide.
+  for (std::size_t i = 0; i < 3; ++i) {
+    cluster->dmon(i)->register_module(std::make_unique<SyntheticMonitor>(
+        "battery", 1,
+        [i](std::size_t, SimTime) { return 80.0 + static_cast<double>(i); }));
+  }
+  settle(3.0);
+  const std::vector<std::string> names = {"alan", "maui", "etna"};
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      if (i == j) continue;
+      const std::string dir = "/proc/cluster/" + names[j];
+      auto entries = cluster->procfs(i).list(dir);
+      ASSERT_TRUE(entries.is_ok()) << dir;
+      EXPECT_NE(std::find(entries.value().begin(), entries.value().end(),
+                          "battery/"),
+                entries.value().end())
+          << "node " << i << " " << dir;
+      auto reading = cluster->procfs(i).read(dir + "/battery/battery0");
+      ASSERT_TRUE(reading.is_ok()) << "node " << i << " " << dir;
+      EXPECT_NEAR(std::stod(reading.value()), 80.0 + static_cast<double>(j),
+                  1e-9)
+          << "node " << i << " " << dir;
+    }
+  }
+}
+
+TEST_F(DmonTest, LeavingPeerLosesItsDirectoryWhileOthersStillRead) {
+  settle(2.5);
+  ASSERT_TRUE(cluster->procfs(0).is_directory("/proc/cluster/etna"));
+  // The registry confirms the leave within a few milliseconds; look before
+  // the next poll drains etna's last queued frames.
+  cluster->leave_node(2);
+  settle(0.2);
+  EXPECT_EQ(cluster->procfs(0).list("/proc/cluster").value(),
+            (std::vector<std::string>{"maui/"}));
+  EXPECT_EQ(cluster->procfs(1).list("/proc/cluster").value(),
+            (std::vector<std::string>{"alan/"}));
+  for (std::size_t i : {0, 1}) {
+    EXPECT_FALSE(cluster->procfs(i).exists("/proc/cluster/etna/mem/freemem"));
+    const std::string other = i == 0 ? "maui" : "alan";
+    auto freemem =
+        cluster->procfs(i).read("/proc/cluster/" + other + "/mem/freemem");
+    ASSERT_TRUE(freemem.is_ok());
+    EXPECT_GT(std::stod(freemem.value()), 1e8);  // ~512 MB free
+    EXPECT_TRUE(cluster->procfs(i)
+                    .write("/proc/cluster/" + other + "/control", "period 1")
+                    .is_ok());
+  }
 }
 
 }  // namespace

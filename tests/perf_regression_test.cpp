@@ -363,4 +363,62 @@ TEST(PerfRegressionTest, WarmTcpStreamAllocatesNothingPerSegment) {
   EXPECT_EQ(client->stats().retransmissions, 0u);
 }
 
+// Allocations of one add_peer on node 0 of a 2-node flat cluster, after
+// `extra_metrics` synthetic metrics joined the standard modules.
+std::uint64_t declare_peer_allocs(std::size_t extra_metrics) {
+  dproc::sim::Engine engine;
+  dproc::core::ClusterConfig config;
+  config.node_count = 2;
+  dproc::core::Cluster cluster{engine, config};
+  dproc::core::DMon& dmon = *cluster.dmon(0);
+  if (extra_metrics > 0) {
+    dmon.register_module(std::make_unique<dproc::core::SyntheticMonitor>(
+        "synthetic", extra_metrics));
+  }
+  const std::uint64_t before = dproc::bench::alloc_count();
+  dmon.add_peer(42, "node42");
+  return dproc::bench::alloc_count() - before;
+}
+
+TEST(PerfRegressionTest, DeclaringAPeerCostsTheSameForAnyMetricCount) {
+  // /proc/cluster/<peer>/ is one binding to the d-mon's shared shape, so a
+  // peer's procfs cost does not grow with the metrics it publishes.
+  const std::uint64_t standard = declare_peer_allocs(0);
+  EXPECT_EQ(declare_peer_allocs(20), standard);
+  EXPECT_GT(standard, 0u);
+}
+
+// Allocations in `ticks` heartbeat periods of an idle kecho-only cluster of
+// `nodes` nodes sharing one channel, with liveness on: each period, every
+// node's liveness tick heartbeats its nodes - 1 peers.
+std::uint64_t heartbeat_allocs(std::size_t nodes, int ticks) {
+  dproc::sim::Engine engine;
+  dproc::core::ClusterConfig config;
+  config.node_count = nodes;
+  config.dproc_nodes.emplace();  // no d-mons: nothing but heartbeats runs
+  config.liveness.enabled = true;
+  dproc::core::Cluster cluster{engine, config};
+  for (std::size_t i = 0; i < nodes; ++i) {
+    (void)cluster.node(i).kecho->join("heartbeat");
+  }
+  // Warm-up: joins, transports, TCP windows and the engine and fabric pools.
+  const dproc::SimTime warm = dproc::SimTime::zero() + dproc::seconds(5.0);
+  engine.run_until(warm);
+  const std::uint64_t before = dproc::bench::alloc_count();
+  engine.run_until(warm + config.liveness.heartbeat_period * ticks);
+  return dproc::bench::alloc_count() - before;
+}
+
+TEST(PerfRegressionTest, HeartbeatTickAllocationsDoNotGrowWithPeers) {
+  // One frame per tick, shared by every peer that is due: a node's tick
+  // allocates as often with 8 peers as with 2.
+  constexpr int kTicks = 10;
+  const std::uint64_t small = heartbeat_allocs(3, kTicks);
+  const std::uint64_t large = heartbeat_allocs(9, kTicks);
+  EXPECT_GT(small, 0u);
+  EXPECT_EQ(small * 9, large * 3)
+      << "allocations per node per tick: " << small / (3.0 * kTicks)
+      << " with 2 peers, " << large / (9.0 * kTicks) << " with 8 peers";
+}
+
 }  // namespace
